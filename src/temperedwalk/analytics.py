@@ -18,9 +18,15 @@ import numpy as np
 
 from .engine import _AUX_STREAM, _generator, tempering_threshold
 from .jumps import JumpModel
-from .numerics import DEFAULT_QUADRATURE, QuadratureError, adaptive_quad
+from .numerics import DEFAULT_QUADRATURE, QuadratureError, adaptive_quad, gammainc_upper
 from .spectral import SpectralMeasure
-from .tempering import CONDITIONALLY_EXPONENTIAL, CUSTOM_Q, NO_TEMPERING, TemperingSpec
+from .tempering import (
+    CONDITIONALLY_EXPONENTIAL,
+    CUSTOM_Q,
+    EXPONENTIAL_Q,
+    NO_TEMPERING,
+    TemperingSpec,
+)
 
 __all__ = [
     "TRUNCATED",
@@ -49,8 +55,15 @@ _CONVENTIONS = (TRUNCATED, MEAN_ZERO, DRIFT_FREE)
 
 # Below this product |<lambda, s>| an atom's radial integral is exactly zero
 # for every convention, so it is skipped rather than fed to the oscillatory
-# quadrature whose cycle length would overflow.
+# quadrature whose cycle length would overflow.  The closed forms take the
+# same skip, so both paths put exact zeros at the same points.
 _ZERO_FREQ = 1e-12
+
+# Rate families whose atom exponents have closed forms.  Within _NEAR_ONE of
+# alpha = 1 the Gamma(-alpha) and Gamma(1 - alpha) poles cost about
+# log10(1/|alpha - 1|) digits, so those laws stay on quadrature.
+_CLOSED_FORM_FAMILIES = (CONDITIONALLY_EXPONENTIAL, EXPONENTIAL_Q)
+_NEAR_ONE = 1e-3
 
 
 def _integral_to_infinity(f, a, settings):
@@ -69,18 +82,96 @@ def _pi_arg(tempering, sigma, j):
     return sigma.directions[j] if tempering.family == CUSTOM_Q else j
 
 
+def _log1m_i(u):
+    # log(1 - iu) on the principal branch for real u, without the
+    # cancellation of log|1 - iu| near u = 0 or the overflow of u^2.
+    with np.errstate(over="ignore"):
+        modulus = np.where(np.abs(u) < 1.0, 0.5 * np.log1p(u * u),
+                           np.log(np.hypot(1.0, u)))
+    return modulus - 1j * np.arctan(u)
+
+
+def _cexpm1(w):
+    # exp(w) - 1 for complex w, accurate near w = 0.
+    half = np.sin(0.5 * w.imag)
+    re = np.expm1(w.real) * np.cos(w.imag) - 2.0 * half * half
+    return re + 1j * np.exp(w.real) * np.sin(w.imag)
+
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """Atom exponents of a rate family, vectorized over c = <lambda, s_j>.
+
+    psi_j(c) = coef_j * (ic if times_ic else 1) * expm1(kappa * log(1 - ic/theta_j))
+               + ic * linear_j,
+
+    where coef_j * expm1(kappa * log(z/theta_j)) is
+    coef_j * theta_j^-kappa * (z^kappa - theta_j^kappa), z = theta_j - ic,
+    without the cancellation of the difference at small c.
+    """
+
+    theta: np.ndarray
+    kappa: float
+    coef: np.ndarray
+    times_ic: bool
+    linear: np.ndarray
+
+    def __call__(self, c):
+        power = _cexpm1(self.kappa * _log1m_i(c / self.theta))
+        ic = 1j * c
+        scale = self.coef * ic if self.times_ic else self.coef
+        return scale * power + ic * self.linear
+
+
+def _closed_form(alpha, sigma, tempering, convention):
+    """Closed-form atom exponents, or None where quadrature must serve.
+
+    With z = theta - ic: ``conditionally_exponential`` has
+    nu(dr) = -d(r^-alpha e^(-theta r)), and one integration by parts gives
+    ic Gamma(1-alpha) z^(alpha-1) (drift_free) and
+    ic Gamma(1-alpha) [z^(alpha-1) - theta^(alpha-1)] (mean_zero).
+    ``exponential_q`` is the classical tempered stable law,
+    alpha Gamma(-alpha) [z^alpha - theta^alpha], less
+    ic alpha theta^(alpha-1) Gamma(1-alpha) under mean_zero.  ``truncated``
+    adds ic * int_1^inf r nu(dr) to the mean_zero form, which holds on both
+    sides of alpha = 1.
+    """
+    if tempering.family not in _CLOSED_FORM_FAMILIES or abs(alpha - 1.0) < _NEAR_ONE:
+        return None
+    theta = np.asarray(tempering.rates_for(sigma), dtype=float)
+    g1 = math.gamma(1.0 - alpha)
+    # Gamma(1 - alpha, theta) carries the part of the tail moment above r = 1.
+    upper = gammainc_upper(1.0 - alpha, theta) if convention == TRUNCATED else 0.0
+    linear = np.zeros_like(theta)
+    if tempering.family == CONDITIONALLY_EXPONENTIAL:
+        coef = g1 * theta ** (alpha - 1.0)
+        if convention == DRIFT_FREE:
+            linear = coef  # z^(alpha-1) = theta^(alpha-1) * (expm1(...) + 1)
+        elif convention == TRUNCATED:
+            linear = np.exp(-theta) + theta ** (alpha - 1.0) * upper
+        return _ClosedForm(theta, alpha - 1.0, coef, times_ic=True, linear=linear)
+    if convention != DRIFT_FREE:
+        linear = -alpha * theta ** (alpha - 1.0) * (g1 - upper)
+    return _ClosedForm(theta, alpha, alpha * math.gamma(-alpha) * theta ** alpha,
+                       times_ic=False, linear=linear)
+
+
 class LevyExponent:
     """Characteristic exponent psi(lambda) of the limit law.
 
-    Conventions differ only in the jump compensation term:
+    psi(lambda) = sum_j w_j psi_j(<lambda, s_j>), one radial integral per atom
+    s_j of sigma.  Conventions differ only in the jump compensation term:
 
     * ``truncated``  e^{i<l,x>} - 1 - i<l,x> 1(||x|| <= 1)
     * ``mean_zero``  e^{i<l,x>} - 1 - i<l,x>          (needs alpha > 1)
     * ``drift_free`` e^{i<l,x>} - 1                   (needs alpha < 1)
 
-    The radial integral per atom splits at r = 1: the inner piece uses a
-    cancellation-safe integrand, the outer piece Fourier quadrature with the
-    non-oscillatory parts pulled out in closed form.
+    The tempering family picks how psi_j is evaluated, and ``method`` says
+    which way was picked.  ``conditionally_exponential`` and
+    ``exponential_q`` use closed forms in z = theta_j - ic (see
+    ``_closed_form``), one numpy expression over the whole grid, unless
+    |alpha - 1| < 1e-3.  That case, ``no_tempering`` and ``custom_q`` use
+    adaptive quadrature at every point (see ``_QuadratureAtoms``).
     """
 
     def __init__(self, alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
@@ -98,6 +189,58 @@ class LevyExponent:
         self.tempering = tempering
         self.convention = convention
         self.quadrature = quadrature
+        self._atoms = _closed_form(self.alpha, sigma, tempering, convention)
+        if self._atoms is None:
+            self._atoms = _QuadratureAtoms(self.alpha, sigma, tempering, convention,
+                                           quadrature)
+
+    @property
+    def dimension(self):
+        return self.sigma.dimension
+
+    @property
+    def method(self):
+        """``"closed_form"`` or ``"quadrature"``: how atom exponents are found."""
+        return "closed_form" if isinstance(self._atoms, _ClosedForm) else "quadrature"
+
+    def eval(self, lam):
+        """psi at one point; lam is a length-d vector (or scalar for d=1)."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        if lam.shape != (self.sigma.dimension,):
+            raise ValueError("lambda has the wrong dimension")
+        return self._psi(lam[None, :])[0]
+
+    def eval_grid(self, grid):
+        """psi at every row of a (G, d) grid."""
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        if grid.shape[1] != self.sigma.dimension:
+            raise ValueError("lambda has the wrong dimension")
+        return self._psi(grid)
+
+    def _psi(self, grid):
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("lambda must be finite")
+        c = grid @ self.sigma.directions.T  # (G, J)
+        atoms = self._atoms(c)
+        atoms[np.abs(c) < _ZERO_FREQ] = 0.0
+        return (atoms * self.sigma.weights).sum(axis=1)
+
+
+class _QuadratureAtoms:
+    """Atom exponents by adaptive quadrature, one point at a time.
+
+    The radial integral splits at r = 1: the inner piece uses a
+    cancellation-safe integrand, the outer piece Fourier quadrature with the
+    non-oscillatory parts (the tail mass and, for mean_zero, the tail
+    moment) pulled out in closed form.
+    """
+
+    def __init__(self, alpha, sigma, tempering, convention, quadrature):
+        self.alpha = alpha
+        self.sigma = sigma
+        self.tempering = tempering
+        self.convention = convention
+        self.quadrature = quadrature
         # Per-atom tail constants: mass above 1 and, for mean_zero, the
         # linear moment above 1.
         self._c0 = np.array([
@@ -111,62 +254,61 @@ class LevyExponent:
         else:
             self._c1 = None
 
-    @property
-    def dimension(self):
-        return self.sigma.dimension
+    def __call__(self, c):
+        return np.array([[self.atom(j, cj) for j, cj in enumerate(row)] for row in c],
+                        dtype=complex).reshape(c.shape)
 
-    def eval(self, lam):
-        """psi at one point; lam is a length-d vector (or scalar for d=1)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != (self.sigma.dimension,):
-            raise ValueError("lambda has the wrong dimension")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("lambda must be finite")
-        total = 0.0 + 0.0j
-        for j in range(len(self.sigma)):
-            c = float(self.sigma.directions[j] @ lam)
-            total += self.sigma.weights[j] * self._atom_exponent(j, c)
-        return total
-
-    def eval_grid(self, grid):
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        return np.array([self.eval(row) for row in grid])
-
-    def _atom_exponent(self, j, c):
+    def atom(self, j, c):
         if abs(c) < _ZERO_FREQ:
             return 0.0 + 0.0j
         # Conjugate symmetry lets the oscillatory rule see only c > 0.
         if c < 0.0:
-            return np.conj(self._atom_exponent(j, -c))
+            return np.conj(self.atom(j, -c))
         alpha = self.alpha
         arg = _pi_arg(self.tempering, self.sigma, j)
         q = self.tempering.q
+        mean_zero = self.convention == MEAN_ZERO
 
         def weight_fn(r):
             return q(r, arg) * r ** (-alpha - 1.0)
 
-        compensated = self.convention != DRIFT_FREE
-        re_inner = adaptive_quad(
-            lambda r: -2.0 * math.sin(0.5 * c * r) ** 2 * weight_fn(r),
-            0.0, 1.0, self.quadrature,
-        )
-        if compensated:
-            im_inner = adaptive_quad(
-                lambda r: _sin_m1(c * r) * weight_fn(r),
-                0.0, 1.0, self.quadrature,
-            )
+        def re_part(r):
+            return -2.0 * math.sin(0.5 * c * r) ** 2 * weight_fn(r)
+
+        def im_part(r, compensated):
+            if compensated:
+                return _sin_m1(c * r) * weight_fn(r)
+            return math.sin(c * r) * weight_fn(r)
+
+        re_inner = adaptive_quad(re_part, 0.0, 1.0, self.quadrature)
+        im_inner = adaptive_quad(lambda r: im_part(r, self.convention != DRIFT_FREE),
+                                 0.0, 1.0, self.quadrature)
+        # QUADPACK's Fourier rule takes a first cycle of length pi/c at its
+        # lower limit; when that is far longer than the decay scale of the
+        # weight it returns about 0 with a tiny error estimate.  So the rule
+        # starts at r = 1/c, and [1, 1/c] is integrated in log r without it.
+        start = max(1.0, 1.0 / c)
+        if start > 1.0:
+            span = math.log(start)
+
+            def in_log_r(f):
+                return adaptive_quad(lambda t: f(math.exp(t)) * math.exp(t),
+                                     0.0, span, self.quadrature)
+
+            re_inner += in_log_r(re_part)
+            im_inner += in_log_r(lambda r: im_part(r, mean_zero))
+            mass = start ** (-alpha) * self.tempering.pi(start, arg)
+            moment = (_tail_linear_moment(alpha, self.sigma, self.tempering, j,
+                                          self.quadrature, start)
+                      if mean_zero else 0.0)
         else:
-            im_inner = adaptive_quad(
-                lambda r: math.sin(c * r) * weight_fn(r),
-                0.0, 1.0, self.quadrature,
-            )
-        tail_cos = adaptive_quad(weight_fn, 1.0, np.inf, self.quadrature,
+            mass = self._c0[j]
+            moment = self._c1[j] if mean_zero else 0.0
+        tail_cos = adaptive_quad(weight_fn, start, np.inf, self.quadrature,
                                  weight="cos", wvar=c)
-        tail_sin = adaptive_quad(weight_fn, 1.0, np.inf, self.quadrature,
+        tail_sin = adaptive_quad(weight_fn, start, np.inf, self.quadrature,
                                  weight="sin", wvar=c)
-        tail = tail_cos + 1j * tail_sin - self._c0[j]
-        if self.convention == MEAN_ZERO:
-            tail -= 1j * c * self._c1[j]
+        tail = tail_cos + 1j * tail_sin - mass - 1j * c * moment
         return re_inner + 1j * im_inner + tail
 
 
@@ -181,16 +323,16 @@ def _sin_m1(z):
     return math.sin(z) - z
 
 
-def _tail_linear_moment(alpha, sigma, tempering, j, quadrature):
-    # integral_1^inf q(r, s_j) r^{-alpha} dr; finite for every family when
-    # alpha > 1 and for all tempered families otherwise.
+def _tail_linear_moment(alpha, sigma, tempering, j, quadrature, lower=1.0):
+    # integral_lower^inf q(r, s_j) r^{-alpha} dr; finite for every family
+    # when alpha > 1 and for all tempered families otherwise.
     arg = _pi_arg(tempering, sigma, j)
     if tempering.family == NO_TEMPERING:
         if alpha <= 1.0:
             raise ValueError("tail first moment diverges without tempering at alpha <= 1")
-        return alpha / (alpha - 1.0)
+        return alpha * lower ** (1.0 - alpha) / (alpha - 1.0)
     return _integral_to_infinity(
-        lambda r: tempering.q(r, arg) * r ** (-alpha), 1.0, quadrature
+        lambda r: tempering.q(r, arg) * r ** (-alpha), lower, quadrature
     )
 
 
@@ -366,7 +508,11 @@ class CFDistance:
 
 
 def cf_distance(empirical: CFGrid, exponent, drift=None):
-    """Pointwise |empirical CF - exp(psi + i <drift, lambda>)| and its sup."""
+    """Pointwise |empirical CF - exp(psi + i <drift, lambda>)| and its sup.
+
+    ``exponent`` is a LevyExponent, a callable lambda -> psi, or an array of
+    psi values already evaluated at ``empirical.points``.
+    """
     grid = empirical.points
     psi = _exponent_values(exponent, grid)
     if drift is not None:
@@ -382,6 +528,10 @@ def _exponent_values(exponent, grid):
         if exponent.dimension != grid.shape[1]:
             raise ValueError("grid dimension does not match the exponent")
         return exponent.eval_grid(grid)
+    if isinstance(exponent, np.ndarray):
+        if exponent.shape != (grid.shape[0],):
+            raise ValueError("one exponent value per grid point required")
+        return exponent
     return np.array([complex(exponent(row)) for row in grid])
 
 
@@ -537,16 +687,17 @@ def density_1d(exponent, drift, x_grid):
 
     drift_v = 0.0 if drift is None else float(np.asarray(drift, dtype=float).ravel()[0])
 
+    if isinstance(exponent, LevyExponent) and exponent.dimension != 1:
+        raise ValueError("density inversion is 1-d only")
+
     def psi(lam):
         if isinstance(exponent, LevyExponent):
-            if exponent.dimension != 1:
-                raise ValueError("density inversion is 1-d only")
-            return exponent.eval(np.array([lam]))
-        return complex(exponent(np.array([lam])))
+            return exponent.eval_grid(lam[:, None])
+        return np.array([complex(exponent(np.array([t]))) for t in lam])
 
     window = _WINDOW_START
     for _ in range(_WINDOW_MAX_DOUBLINGS):
-        if math.exp(psi(window).real) < _WINDOW_TARGET:
+        if math.exp(psi(np.array([window]))[0].real) < _WINDOW_TARGET:
             break
         window *= 2.0
     else:
@@ -562,7 +713,7 @@ def density_1d(exponent, drift, x_grid):
     if m > _MAX_WINDOW_POINTS:
         raise QuadratureError("inversion window too wide for the grid extent")
     lam = np.linspace(0.0, window, m)
-    phi = np.array([np.exp(psi(l) + 1j * l * drift_v) for l in lam])
+    phi = np.exp(psi(lam) + 1j * lam * drift_v)
     # One-sided integral; the lambda < 0 half is the conjugate mirror.
     kernel = np.exp(-1j * np.outer(x, lam)) * phi[None, :]
     dens = np.trapezoid(kernel.real, lam, axis=1) / math.pi

@@ -287,22 +287,26 @@ def _cmd_cf_check(cfg, out, seed, threads):
         _fail("invalid_config", f"bad convention: {exc}")
     drift = cc.get("drift")
     if cc.get("self_test"):
+        # One evaluation serves as both sides of the comparison.
         psi = exponent.eval_grid(grid)
         if drift is not None:
             psi = psi + 1j * (grid @ np.asarray(drift, dtype=float))
         cf = analytics.CFGrid(points=grid, values=np.exp(psi))
-    elif cc.get("samples"):
-        cf = analytics.empirical_cf(_read_samples(cc["samples"], sigma.dimension), grid)
+        dist = analytics.cf_distance(cf, psi)
     else:
-        batch = engine.simulate_rowsum(plan, model, tempering, threads=threads)
-        cf = analytics.empirical_cf(batch, grid)
-    dist = analytics.cf_distance(cf, exponent, drift=drift)
+        if cc.get("samples"):
+            samples = _read_samples(cc["samples"], sigma.dimension)
+        else:
+            samples = engine.simulate_rowsum(plan, model, tempering, threads=threads)
+        cf = analytics.empirical_cf(samples, grid)
+        dist = analytics.cf_distance(cf, exponent, drift=drift)
     _write_cf_table(out / "cf_table.csv", cf, dist)
     passed = dist.sup_abs <= threshold
     report = {
         "checks": [
-            _check("cf_check", {"convention": convention, "n": plan.n,
-                                "replicates": plan.replicates, "seed": plan.seed},
+            _check("cf_check", {"convention": convention, "exponent": exponent.method,
+                                "n": plan.n, "replicates": plan.replicates,
+                                "seed": plan.seed},
                    dist.sup_abs, threshold, passed)
         ],
         "pass": passed,
@@ -409,7 +413,8 @@ def _cmd_density(cfg, out, seed, threads):
     passed = result.mass_defect <= threshold
     report = {
         "checks": [
-            _check("density_mass", {"convention": convention, "window": result.window,
+            _check("density_mass", {"convention": convention, "exponent": exponent.method,
+                                    "window": result.window,
                                     "clipped_mass": result.clipped_mass},
                    result.mass_defect, threshold, passed)
         ],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from temperedwalk import (
@@ -29,6 +31,7 @@ from temperedwalk.analytics import (
     uan_profile,
     vague_convergence_table,
 )
+from temperedwalk.numerics import DEFAULT_QUADRATURE
 
 ONE = SpectralMeasure([[1.0]], [1.0])
 TWO = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])
@@ -115,13 +118,129 @@ def test_convention_validation():
         LevyExponent(1.5, ONE, ce15, "bogus")
 
 
+RATE_FAMILIES = ("conditionally_exponential", "exponential_q")
+
+
+def _legal_conventions(alpha):
+    return (TRUNCATED, DRIFT_FREE) if alpha < 1.0 else (TRUNCATED, MEAN_ZERO)
+
+
 def test_eval_grid_matches_scalar_eval():
-    ce = TemperingSpec.conditionally_exponential(1.5, 2.0, TWO)
-    ex = LevyExponent(1.5, TWO, ce, TRUNCATED)
-    grid = np.linspace(-4.0, 4.0, 9).reshape(-1, 1)
-    vals = ex.eval_grid(grid)
-    for row, val in zip(grid, vals):
-        assert abs(val - ex.eval(row)) <= 1e-14
+    grid = np.linspace(-6.0, 6.0, 25).reshape(-1, 1)
+    for family in RATE_FAMILIES:
+        for alpha in (0.6, 1.5):
+            tempering = TemperingSpec(alpha, family, rates=[0.5, 2.0], sigma=TWO)
+            for convention in _legal_conventions(alpha):
+                ex = LevyExponent(alpha, TWO, tempering, convention)
+                vals = ex.eval_grid(grid)
+                for row, val in zip(grid, vals):
+                    assert abs(val - ex.eval(row)) <= 1e-14
+
+
+# ------------------------------------------------ closed forms vs quadrature
+
+
+def _expq_as_custom(alpha, theta, sigma):
+    return TemperingSpec.custom_q(
+        alpha, lambda r, s: alpha * math.exp(-theta * r), sigma)
+
+
+def _quadrature_psi(alpha, sigma, tempering, convention, c):
+    # The module-private quadrature path, reached without a public switch.
+    atoms = analytics._QuadratureAtoms(alpha, sigma, tempering, convention,
+                                       DEFAULT_QUADRATURE)
+    return atoms.atom(0, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(RATE_FAMILIES),
+    alpha=st.one_of(st.floats(0.2, 0.98), st.floats(1.02, 1.95)),
+    theta=st.floats(0.1, 5.0),
+    c=st.floats(-10.0, 10.0),
+    pick=st.integers(0, 1),
+)
+def test_closed_forms_match_quadrature(family, alpha, theta, c, pick):
+    convention = _legal_conventions(alpha)[pick]
+    tempering = TemperingSpec(alpha, family, rates=theta, sigma=ONE)
+    ex = LevyExponent(alpha, ONE, tempering, convention)
+    assert ex.method == "closed_form"
+    got = ex.eval(np.array([c]))
+    scale = max(1.0, abs(got))
+    want = _quadrature_psi(alpha, ONE, tempering, convention, c)
+    assert abs(got - want) <= 1e-9 * scale
+    if family == "exponential_q":
+        custom = LevyExponent(alpha, ONE, _expq_as_custom(alpha, theta, ONE), convention)
+        assert custom.method == "quadrature"
+        assert abs(got - custom.eval(np.array([c]))) <= 1e-9 * scale
+    assert abs(ex.eval(np.array([-c])) - np.conj(got)) <= 1e-14 * scale
+    assert got.real <= 1e-12 * scale
+
+
+def test_closed_forms_run_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called on the closed-form path")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    grid = np.linspace(-5.0, 5.0, 11).reshape(-1, 1)
+    for family in RATE_FAMILIES:
+        for alpha in (0.7, 1.5):
+            tempering = TemperingSpec(alpha, family, rates=[1.0, 2.0], sigma=TWO)
+            for convention in _legal_conventions(alpha):
+                ex = LevyExponent(alpha, TWO, tempering, convention)
+                assert np.all(np.isfinite(ex.eval_grid(grid)))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.0005, 1.5])
+def test_exponent_at_zero_is_exactly_zero(alpha):
+    conventions = (TRUNCATED,) + ((DRIFT_FREE,) if alpha < 1.0 else
+                                  (MEAN_ZERO,) if alpha > 1.0 else ())
+    families = [TemperingSpec.no_tempering(alpha),
+                TemperingSpec.conditionally_exponential(alpha, [0.3, 2.0], TWO),
+                TemperingSpec.exponential_q(alpha, [0.3, 2.0], TWO),
+                _expq_as_custom(alpha, 2.0, TWO)]
+    for tempering in families:
+        for convention in conventions:
+            ex = LevyExponent(alpha, TWO, tempering, convention)
+            assert ex.eval(np.array([0.0])) == 0
+            assert ex.eval_grid(np.zeros((2, 1)))[1] == 0
+
+
+def test_alpha_near_one_stays_on_quadrature():
+    ce = TemperingSpec.conditionally_exponential(1.0005, 1.0, ONE)
+    assert LevyExponent(1.0005, ONE, ce, TRUNCATED).method == "quadrature"
+    ce = TemperingSpec.conditionally_exponential(1.002, 1.0, ONE)
+    assert LevyExponent(1.002, ONE, ce, TRUNCATED).method == "closed_form"
+    nt = TemperingSpec.no_tempering(1.5)
+    assert LevyExponent(1.5, ONE, nt, MEAN_ZERO).method == "quadrature"
+
+
+SMALL_FREQUENCIES = (1e-3, 1e-4, 1e-6, 1e-9)
+
+
+@pytest.mark.parametrize("lam", SMALL_FREQUENCIES)
+def test_quadrature_small_frequency_untempered(lam):
+    """The Fourier tail rule once dropped the whole tail mass at small c."""
+    sym = LevyExponent(1.5, SYM, TemperingSpec.no_tempering(1.5), MEAN_ZERO)
+    want = -SQRT_2PI * lam ** 1.5
+    assert abs(sym.eval(np.array([lam])) - want) <= 1e-10 + 1e-9 * abs(want)
+    one = LevyExponent(0.7, ONE, TemperingSpec.no_tempering(0.7), DRIFT_FREE)
+    scale = GAMMA_03 * lam ** 0.7
+    want = complex(-scale * COS_35PI, scale * SIN_35PI)
+    assert abs(one.eval(np.array([lam])) - want) <= 1e-10 + 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("lam", SMALL_FREQUENCIES)
+@pytest.mark.parametrize("alpha,convention",
+                         [(0.7, DRIFT_FREE), (0.7, TRUNCATED),
+                          (1.5, MEAN_ZERO), (1.5, TRUNCATED)])
+def test_quadrature_small_frequency_custom_q(lam, alpha, convention):
+    custom = LevyExponent(alpha, ONE, _expq_as_custom(alpha, 1.0, ONE), convention)
+    closed = LevyExponent(alpha, ONE, TemperingSpec.exponential_q(alpha, 1.0, ONE),
+                          convention)
+    want = closed.eval(np.array([lam]))
+    got = custom.eval(np.array([lam]))
+    assert abs(got - want) <= 1e-10 + 1e-9 * abs(want)
 
 
 def test_uan_profile_single_delta_has_no_slope():
@@ -359,6 +478,22 @@ def test_density_tempered_is_light_tailed(tempered_density):
     # weight 0.7 on +1 skews the law right
     mean = np.trapezoid(x * res.density, x)
     assert mean > 0.1
+
+
+def test_density_evaluates_its_window_in_one_grid_call(tempered_density, monkeypatch):
+    ex, x, base = tempered_density
+    sizes = []
+    eval_grid = LevyExponent.eval_grid
+
+    def counting(self, grid):
+        sizes.append(len(grid))
+        return eval_grid(self, grid)
+
+    monkeypatch.setattr(LevyExponent, "eval_grid", counting)
+    again = density_1d(ex, None, x)
+    # single points probe the window; the whole lambda grid is one call
+    assert [n for n in sizes if n > 1] == [sizes[-1]] and sizes[-1] >= 513
+    assert np.array_equal(again.density, base.density)
 
 
 def test_density_drift_shifts_mode(tempered_density):

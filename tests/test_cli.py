@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import temperedwalk
-from temperedwalk import cli
+from temperedwalk import analytics, cli
 
 BASE = {
     "sigma": [
@@ -118,20 +118,42 @@ def test_paths_requires_time_grid(tmp_path, capsys):
 # ----------------------------------------------------------------- cf-check
 
 
-def test_cf_check_self_test_is_exact(tmp_path):
+def test_cf_check_self_test_is_exact(tmp_path, monkeypatch):
+    calls = []
+    eval_grid = analytics.LevyExponent.eval_grid
+
+    def counting(self, grid):
+        calls.append(len(grid))
+        return eval_grid(self, grid)
+
+    monkeypatch.setattr(analytics.LevyExponent, "eval_grid", counting)
     cfg = _cfg(cf_check={"convention": "drift_free", "self_test": True,
                          "grid": {"points": 41}})
     rc = cli.run(["cf-check", "--config", _write(tmp_path, cfg),
                   "--out", str(tmp_path / "out")])
     assert rc == 0
+    assert calls == [41]  # one evaluation serves both sides
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["pass"] is True
     check = report["checks"][0]
     assert set(check) >= {"test", "parameters", "statistic", "threshold", "pass"}
     assert check["statistic"] == 0.0
+    assert check["parameters"]["exponent"] == "closed_form"
     table = (tmp_path / "out" / "cf_table.csv").read_text().splitlines()
     assert table[0] == "lambda_1,re_emp,im_emp,re_theory,im_theory,abs_err"
     assert len(table) == 42
+
+
+def test_cf_check_reports_quadrature_exponent(tmp_path):
+    cfg = _cfg(tempering={"family": "no_tempering"},
+               cf_check={"convention": "drift_free", "self_test": True,
+                         "drift": [0.5], "grid": {"points": 5}})
+    rc = cli.run(["cf-check", "--config", _write(tmp_path, cfg),
+                  "--out", str(tmp_path / "out")])
+    assert rc == 0
+    check = json.loads((tmp_path / "out" / "report.json").read_text())["checks"][0]
+    assert check["parameters"]["exponent"] == "quadrature"
+    assert check["statistic"] == 0.0
 
 
 def test_cf_check_simulated_passes_loose_threshold(tmp_path):
@@ -216,6 +238,7 @@ def test_density_csv_and_report(tmp_path):
     assert len(lines) == 142
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["checks"][0]["test"] == "density_mass"
+    assert report["checks"][0]["parameters"]["exponent"] == "closed_form"
     assert report["pass"] is True
 
 
