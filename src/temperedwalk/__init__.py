@@ -31,7 +31,6 @@ from .engine import (
     SampleBatch,
     WalkPlan,
     centering_truncated_mean,
-    sample_tempered_jump,
     simulate_paths,
     simulate_rowsum,
     tempering_threshold,
@@ -65,7 +64,6 @@ __all__ = [
     "CENTER_TRUNCATED_MEAN",
     "CENTER_JUMP_MEAN",
     "tempering_threshold",
-    "sample_tempered_jump",
     "centering_truncated_mean",
     "simulate_rowsum",
     "simulate_paths",

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _AUX_STREAM, _generator, tempering_threshold
+from .engine import _aux_jumps, tempering_threshold
 from .jumps import JumpModel
 from .numerics import DEFAULT_QUADRATURE, QuadratureError, adaptive_quad, gammainc_upper
 from .spectral import SpectralMeasure
 from .tempering import (
     CONDITIONALLY_EXPONENTIAL,
-    CUSTOM_Q,
     EXPONENTIAL_Q,
     NO_TEMPERING,
     TemperingSpec,
@@ -75,11 +74,6 @@ def _integral_to_infinity(f, a, settings):
         return f(r) * a / (one_m * one_m)
 
     return adaptive_quad(g, 0.0, 1.0, settings)
-
-
-def _pi_arg(tempering, sigma, j):
-    # Rate families address atoms by index, custom q by direction vector.
-    return sigma.directions[j] if tempering.family == CUSTOM_Q else j
 
 
 def _log1m_i(u):
@@ -138,7 +132,7 @@ def _closed_form(alpha, sigma, tempering, convention):
     """
     if tempering.family not in _CLOSED_FORM_FAMILIES or abs(alpha - 1.0) < _NEAR_ONE:
         return None
-    theta = np.asarray(tempering.rates_for(sigma), dtype=float)
+    theta = np.array([tempering.rate(j) for j in range(len(sigma))])
     g1 = math.gamma(1.0 - alpha)
     # Gamma(1 - alpha, theta) carries the part of the tail moment above r = 1.
     upper = gammainc_upper(1.0 - alpha, theta) if convention == TRUNCATED else 0.0
@@ -184,6 +178,7 @@ class LevyExponent:
             raise ValueError("drift_free form needs alpha < 1")
         if abs(alpha - tempering.alpha) > 1e-12:
             raise ValueError("tempering alpha mismatch")
+        tempering.check_sigma(sigma)
         self.alpha = float(alpha)
         self.sigma = sigma
         self.tempering = tempering
@@ -243,9 +238,7 @@ class _QuadratureAtoms:
         self.quadrature = quadrature
         # Per-atom tail constants: mass above 1 and, for mean_zero, the
         # linear moment above 1.
-        self._c0 = np.array([
-            tempering.pi(1.0, _pi_arg(tempering, sigma, j)) for j in range(len(sigma))
-        ])
+        self._c0 = np.array([tempering.pi(1.0, j) for j in range(len(sigma))])
         if convention == MEAN_ZERO:
             self._c1 = np.array([
                 _tail_linear_moment(alpha, sigma, tempering, j, quadrature)
@@ -265,12 +258,11 @@ class _QuadratureAtoms:
         if c < 0.0:
             return np.conj(self.atom(j, -c))
         alpha = self.alpha
-        arg = _pi_arg(self.tempering, self.sigma, j)
         q = self.tempering.q
         mean_zero = self.convention == MEAN_ZERO
 
         def weight_fn(r):
-            return q(r, arg) * r ** (-alpha - 1.0)
+            return q(r, j) * r ** (-alpha - 1.0)
 
         def re_part(r):
             return -2.0 * math.sin(0.5 * c * r) ** 2 * weight_fn(r)
@@ -297,7 +289,7 @@ class _QuadratureAtoms:
 
             re_inner += in_log_r(re_part)
             im_inner += in_log_r(lambda r: im_part(r, mean_zero))
-            mass = start ** (-alpha) * self.tempering.pi(start, arg)
+            mass = start ** (-alpha) * self.tempering.pi(start, j)
             moment = (_tail_linear_moment(alpha, self.sigma, self.tempering, j,
                                           self.quadrature, start)
                       if mean_zero else 0.0)
@@ -326,19 +318,19 @@ def _sin_m1(z):
 def _tail_linear_moment(alpha, sigma, tempering, j, quadrature, lower=1.0):
     # integral_lower^inf q(r, s_j) r^{-alpha} dr; finite for every family
     # when alpha > 1 and for all tempered families otherwise.
-    arg = _pi_arg(tempering, sigma, j)
     if tempering.family == NO_TEMPERING:
         if alpha <= 1.0:
             raise ValueError("tail first moment diverges without tempering at alpha <= 1")
         return alpha * lower ** (1.0 - alpha) / (alpha - 1.0)
     return _integral_to_infinity(
-        lambda r: tempering.q(r, arg) * r ** (-alpha), lower, quadrature
+        lambda r: tempering.q(r, j) * r ** (-alpha), lower, quadrature
     )
 
 
 def tail_first_moment(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
                       quadrature=DEFAULT_QUADRATURE):
     """The vector integral of x over ||x|| >= 1 against the Lévy measure."""
+    tempering.check_sigma(sigma)
     total = np.zeros(sigma.dimension)
     for j in range(len(sigma)):
         c1 = _tail_linear_moment(alpha, sigma, tempering, j, quadrature)
@@ -371,14 +363,13 @@ def tempered_mean(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
         raise ValueError("the tempered mean is defined for alpha in (1, 2)")
     if tempering.family == NO_TEMPERING:
         raise ValueError("the tempered mean needs actual tempering")
+    tempering.check_sigma(sigma)
     if check_regularity:
         _require_regular(alpha, tempering)
     total = np.zeros(sigma.dimension)
     for j in range(len(sigma)):
-        arg = _pi_arg(tempering, sigma, j)
-
         def integrand(u):
-            return (1.0 - tempering.pi(u, arg)) * u ** (-alpha)
+            return (1.0 - tempering.pi(u, j)) * u ** (-alpha)
 
         inner = adaptive_quad(integrand, 0.0, 1.0, quadrature)
         outer = _integral_to_infinity(integrand, 1.0, quadrature)
@@ -386,13 +377,13 @@ def tempered_mean(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
     return -total
 
 
-def _gbar(tempering, arg, r, quadrature):
-    # gbar(r, s) = r - int_0^r pi(u, s) du; closed form when pi is a pure
+def _gbar(tempering, j, r, quadrature):
+    # gbar(r, s_j) = r - int_0^r pi(u, s_j) du; closed form when pi is a pure
     # exponential, quadrature otherwise.
     if tempering.family == CONDITIONALLY_EXPONENTIAL:
-        lam = tempering._rate_of(arg)
+        lam = tempering.rate(j)
         return r - (1.0 - math.exp(-lam * r)) / lam
-    return r - adaptive_quad(lambda u: tempering.pi(u, arg), 0.0, r, quadrature)
+    return r - adaptive_quad(lambda u: tempering.pi(u, j), 0.0, r, quadrature)
 
 
 def shift_theta(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
@@ -408,14 +399,13 @@ def shift_theta(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
         raise ValueError("the shift is defined for alpha in (1, 2)")
     if tempering.family == NO_TEMPERING:
         raise ValueError("the shift needs actual tempering")
+    tempering.check_sigma(sigma)
     if check_regularity:
         _require_regular(alpha, tempering)
     first = np.zeros(sigma.dimension)
     for j in range(len(sigma)):
-        arg = _pi_arg(tempering, sigma, j)
-
         def integrand(r):
-            return _gbar(tempering, arg, r, quadrature) * r ** (-alpha - 1.0)
+            return _gbar(tempering, j, r, quadrature) * r ** (-alpha - 1.0)
 
         inner = adaptive_quad(integrand, 0.0, 1.0, quadrature)
         outer = _integral_to_infinity(integrand, 1.0, quadrature)
@@ -432,6 +422,7 @@ def levy_mass(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
     """
     if not (0.0 < r_lo <= r_hi):
         raise ValueError("need 0 < r_lo <= r_hi")
+    tempering.check_sigma(sigma)
     indices = range(len(sigma)) if atoms is None else atoms
     total = 0.0
     for j in indices:
@@ -442,10 +433,9 @@ def levy_mass(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
             upper = 0.0 if math.isinf(r_hi) else r_hi ** (-alpha)
             total += w * (r_lo ** (-alpha) - upper)
             continue
-        arg = _pi_arg(tempering, sigma, j)
 
         def integrand(r):
-            return tempering.q(r, arg) * r ** (-alpha - 1.0)
+            return tempering.q(r, j) * r ** (-alpha - 1.0)
 
         if math.isinf(r_hi):
             total += w * _integral_to_infinity(integrand, r_lo, quadrature)
@@ -565,7 +555,7 @@ class VagueRow:
 
 
 def vague_convergence_table(model: JumpModel, tempering: TemperingSpec, n,
-                            sectors, draws, seed=0, chunk=1_000_000):
+                            sectors, draws, seed=0):
     """Compare n * P(Y/v in sector) against the Lévy mass, sector by sector.
 
     Uses single tempered jumps (row length 1 of the array at index n), drawn
@@ -574,23 +564,16 @@ def vague_convergence_table(model: JumpModel, tempering: TemperingSpec, n,
     """
     sectors = list(sectors)
     sigma = model.sigma
+    tempering.check_sigma(sigma)
     v = tempering_threshold(model, n)
-    gen = _generator(seed, _AUX_STREAM + 2)
     hits = np.zeros(len(sectors), dtype=np.int64)
-    left = int(draws)
-    while left > 0:
-        m = min(left, chunk)
-        u = gen.random((3, m))
-        idx = sigma._index_from_uniform(u[0])
-        r = model._radius_from_uniform(u[1])
-        t = tempering._t_from_uniform(1.0 - u[2], idx, sigma)
-        z = np.minimum(r, v * t) / v
+    for idx, rad in _aux_jumps(model, tempering, v, draws, seed, 2):
+        z = rad / v
         for si, sec in enumerate(sectors):
             mask = (z >= sec.r_lo) & (z <= sec.r_hi)
             if sec.atoms is not None:
                 mask &= np.isin(idx, sec.atoms)
             hits[si] += int(mask.sum())
-        left -= m
     rows = []
     for si, sec in enumerate(sectors):
         p_hat = hits[si] / draws
@@ -624,19 +607,19 @@ def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas,
     if np.any(deltas <= 0.0) or np.any(deltas > 1.0):
         raise ValueError("deltas must lie in (0, 1]")
     sigma = model.sigma
+    tempering.check_sigma(sigma)
     mass = sigma.total_mass()
     v = tempering_threshold(model, n)
-    breaks = sorted(float(c) / v for c in model._scales)
+    breaks = sorted(float(c) / v for c in model.radius_scales)
     values = []
     for delta in deltas:
         total = 0.0
         for j in range(len(sigma)):
-            arg = _pi_arg(tempering, sigma, j)
             integral = adaptive_quad(
-                lambda u: u * model.radius_survival(v * u) * tempering.pi(u, arg),
+                lambda u: u * model.radius_survival(v * u) * tempering.pi(u, j),
                 0.0, float(delta), quadrature, points=breaks,
             )
-            edge = delta ** 2 * model.radius_survival(v * delta) * tempering.pi(float(delta), arg)
+            edge = delta ** 2 * model.radius_survival(v * delta) * tempering.pi(float(delta), j)
             total += sigma.weights[j] / mass * (2.0 * integral - edge)
         values.append(n * total)
     values = np.asarray(values)

@@ -8,7 +8,8 @@ Subcommands map to the library's experiment layers: ``simulate`` (row sums),
 bytes.
 
 Exit codes: 0 success, 1 a diagnostic check failed, 2 config/usage error,
-3 numeric (quadrature/inversion) failure.
+3 numeric (quadrature/inversion) failure or any other internal error.  Codes
+2 and 3 print one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,13 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
+def _object(value, where):
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        _fail("invalid_config", f"{where} must be an object")
+    return value
+
+
 def _build_sigma(cfg):
     atoms = cfg.get("sigma")
     if isinstance(atoms, dict):
@@ -83,7 +92,7 @@ def _build_sigma(cfg):
 
 
 def _build_model(cfg, sigma):
-    mc = _need(cfg, "model", "config")
+    mc = _object(_need(cfg, "model", "config"), "model")
     alpha = float(_need(mc, "alpha", "model"))
     x_m = float(mc.get("x_m", 1.0))
     radial_cfg = mc.get("radial", EXACT_PARETO)
@@ -106,7 +115,7 @@ def _build_model(cfg, sigma):
 
 
 def _build_tempering(cfg, alpha, sigma):
-    tc = _need(cfg, "tempering", "config")
+    tc = _object(_need(cfg, "tempering", "config"), "tempering")
     family = _need(tc, "family", "tempering")
     if "alpha" in tc and abs(float(tc["alpha"]) - alpha) > 1e-12:
         _fail("invalid_config", "tempering alpha must match model alpha")
@@ -136,7 +145,7 @@ def _build_tempering(cfg, alpha, sigma):
 
 
 def _build_plan(cfg, seed_override):
-    pc = _need(cfg, "plan", "config")
+    pc = _object(_need(cfg, "plan", "config"), "plan")
     seed = seed_override if seed_override is not None else pc.get("seed")
     if seed is None:
         _fail("invalid_config", "a seed is required (plan.seed or --seed)")
@@ -271,10 +280,10 @@ def _read_samples(path, dimension):
 
 def _cmd_cf_check(cfg, out, seed, threads):
     sigma, model, tempering, plan = _build_all(cfg, seed)
-    cc = cfg.get("cf_check", {})
+    cc = _object(cfg.get("cf_check", {}), "cf_check")
     convention = cc.get("convention", analytics.TRUNCATED)
     threshold = float(cc.get("threshold", 0.05))
-    gc = cc.get("grid", {})
+    gc = _object(cc.get("grid", {}), "cf_check.grid")
     grid = analytics.default_cf_grid(
         sigma.dimension,
         lo=float(gc.get("lo", -5.0)),
@@ -318,6 +327,7 @@ def _cmd_cf_check(cfg, out, seed, threads):
 def _diag_vague(cfg_entry, model, tempering, plan):
     sectors = []
     for sc in _need(cfg_entry, "sectors", "vague_convergence diagnostic"):
+        sc = _object(sc, "sector")
         r_hi = sc.get("r_hi")
         sectors.append(analytics.Sector(
             r_lo=float(_need(sc, "r_lo", "sector")),
@@ -373,8 +383,11 @@ def _diag_regularity(cfg_entry, model, tempering):
 def _cmd_diagnose(cfg, out, seed, threads):
     _, model, tempering, plan = _build_all(cfg, seed)
     checks = []
-    for entry in cfg.get("diagnostics", []):
-        kind = _need(entry, "type", "diagnostics entry")
+    entries = cfg.get("diagnostics", [])
+    if not isinstance(entries, list):
+        _fail("invalid_config", "diagnostics must be a list")
+    for entry in entries:
+        kind = _need(_object(entry, "diagnostics entry"), "type", "diagnostics entry")
         if kind == "vague_convergence":
             checks.extend(_diag_vague(entry, model, tempering, plan))
         elif kind == "uan":
@@ -392,9 +405,9 @@ def _cmd_density(cfg, out, seed, threads):
     sigma, model, tempering, plan = _build_all(cfg, seed)
     if sigma.dimension != 1:
         _fail("dimension_unsupported", "density inversion is 1-d only")
-    dc = cfg.get("density", {})
+    dc = _object(cfg.get("density", {}), "density")
     convention = dc.get("convention", analytics.TRUNCATED)
-    gc = dc.get("x", {})
+    gc = _object(dc.get("x", {}), "density.x")
     lo = float(gc.get("lo", -10.0))
     hi = float(gc.get("hi", 10.0))
     points = int(gc.get("points", 201))
@@ -479,6 +492,12 @@ def run(argv=None):
         # library-level validation tripped by config-derived values
         _emit_error("invalid_config", str(exc))
         return 2
+    except Exception as exc:
+        # Keep the one-line contract; the innermost frame says where it broke.
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        _emit_error("internal", f"{type(exc).__name__}: {exc} "
+                                f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})")
+        return 3
 
 
 def _emit_error(code, message):

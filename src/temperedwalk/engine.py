@@ -38,7 +38,6 @@ __all__ = [
     "CENTER_TRUNCATED_MEAN",
     "CENTER_JUMP_MEAN",
     "tempering_threshold",
-    "sample_tempered_jump",
     "centering_truncated_mean",
     "centering_vector",
     "simulate_rowsum",
@@ -51,8 +50,10 @@ CENTER_JUMP_MEAN = "jump_mean"
 
 _CENTERINGS = (CENTER_NONE, CENTER_TRUNCATED_MEAN, CENTER_JUMP_MEAN)
 
-# First stream index reserved for non-replicate randomness.
+# First stream index reserved for non-replicate randomness, and the most
+# jumps an auxiliary consumer draws from it in one block.
 _AUX_STREAM = 2 ** 63
+_AUX_CHUNK = 1_000_000
 
 
 def _generator(seed, stream):
@@ -128,68 +129,45 @@ def tempering_threshold(model: JumpModel, n, v_override=None):
     return model.norming_b(n) / mass ** (1.0 / model.alpha)
 
 
-def sample_tempered_jump(model: JumpModel, spec: TemperingSpec, v, rng):
-    """One tempered jump s * min(R, v*T); the direction is never altered."""
-    if not v > 0.0:
-        raise ValueError("threshold v must be positive")
-    idx = model.sigma.sample_index(rng)
-    r = float(model._radius_from_uniform(rng.random()))
-    s_arg = idx if spec.family != CUSTOM_Q else model.sigma.directions[idx]
-    t = spec.sample_T(rng, s_arg)
-    return model.sigma.directions[idx] * min(r, v * t)
-
-
 # --------------------------------------------------------------- centering
 
 
-def centering_truncated_mean(model, spec, n, v, method=None, mc_draws=10 ** 6,
-                             seed=0, quadrature=DEFAULT_QUADRATURE):
+def centering_truncated_mean(model, spec, n, v, mc_draws=10 ** 6, seed=0,
+                             quadrature=DEFAULT_QUADRATURE):
     """Truncated-mean centering a_n = n * E[X 1(||X|| < 1)], X = Y/v.
 
     With Z = min(R/v, T) and S_R the radius survival function,
 
         E[Z 1(Z <= 1)] = integral_0^1 S_R(v*u) pi(u, s) du - S_R(v) pi(1, s),
 
-    so the quadrature method needs one finite integral per atom.  Families
-    whose pi is itself a quadrature (custom q) default to Monte Carlo over
-    fresh tempered jumps on an auxiliary stream.
+    so the quadrature method needs one finite integral per atom.  Custom q,
+    whose pi is itself a quadrature, takes Monte Carlo over fresh tempered
+    jumps on an auxiliary stream instead.
     """
-    if method is None:
-        method = "monte_carlo" if spec.family == CUSTOM_Q else "quadrature"
     sigma = model.sigma
+    spec.check_sigma(sigma)
     mass = sigma.total_mass()
-    if method == "quadrature":
-        breaks = sorted(float(c) / v for c in model._scales)
+    if spec.family != CUSTOM_Q:
+        breaks = sorted(float(c) / v for c in model.radius_scales)
         total = np.zeros(sigma.dimension)
         for j in range(len(sigma)):
-            s_arg = j if spec.family != CUSTOM_Q else sigma.directions[j]
             integral = adaptive_quad(
-                lambda u: model.radius_survival(v * u) * spec.pi(u, s_arg),
+                lambda u: model.radius_survival(v * u) * spec.pi(u, j),
                 0.0, 1.0, quadrature, points=breaks,
             )
-            term = integral - model.radius_survival(v) * spec.pi(1.0, s_arg)
+            term = integral - model.radius_survival(v) * spec.pi(1.0, j)
             total += sigma.weights[j] * term * sigma.directions[j]
         return TruncatedMeanResult(n * total / mass, 0.0, "quadrature")
-    if method != "monte_carlo":
-        raise ValueError("method must be 'quadrature' or 'monte_carlo'")
 
-    gen = _generator(seed, _AUX_STREAM + 1)
     d = sigma.dimension
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
-    left = int(mc_draws)
-    while left > 0:
-        m = min(left, 1_000_000)
-        u = gen.random((3, m))
-        idx = sigma._index_from_uniform(u[0])
-        r = model._radius_from_uniform(u[1])
-        t = spec._t_from_uniform(1.0 - u[2], idx, sigma)
-        z = np.minimum(r / v, t)
+    for idx, rad in _aux_jumps(model, spec, v, mc_draws, seed, 1):
+        z = rad / v
         z = np.where(z < 1.0, z, 0.0)
         comp = sigma.directions[idx] * z[:, None]
         acc += comp.sum(axis=0)
         acc_sq += (comp * comp).sum(axis=0)
-        left -= m
     mean = acc / mc_draws
     var = acc_sq / mc_draws - mean * mean
     se = float(n * np.sqrt(var.max() / mc_draws))
@@ -206,18 +184,33 @@ def centering_vector(plan: WalkPlan, model, spec, v):
     return centering_truncated_mean(model, spec, plan.n, v, seed=plan.seed).value
 
 
-# --------------------------------------------------------------- simulation
+# ------------------------------------------------------------ jump source
 
 
-def _tempered_radii(model, spec, v, n_jumps, seed, rep):
-    """Atom indices and tempered radii for one replicate's jump block."""
-    gen = _generator(seed, rep)
-    u = gen.random((3, n_jumps))
-    sigma = model.sigma
-    idx = sigma._index_from_uniform(u[0])
+def _tempered_jumps(model, spec, v, u):
+    """Atom indices and tempered radii min(R, v*T) from a (3, m) uniform block.
+
+    Row 0 of ``u`` picks the atom, row 1 the raw radius R and row 2 the
+    tempering variable T of that atom.  Every tempered jump in the package
+    is drawn here.
+    """
+    idx = model.sigma._index_from_uniform(u[0])
     r = model._radius_from_uniform(u[1])
-    t = spec._t_from_uniform(1.0 - u[2], idx, sigma)
+    t = spec._t_from_uniform(1.0 - u[2], idx)
     return idx, np.minimum(r, v * t)
+
+
+def _aux_jumps(model, spec, v, draws, seed, stream):
+    """``draws`` tempered jumps from auxiliary stream ``stream``, in blocks."""
+    gen = _generator(seed, _AUX_STREAM + stream)
+    left = int(draws)
+    while left > 0:
+        m = min(left, _AUX_CHUNK)
+        yield _tempered_jumps(model, spec, v, gen.random((3, m)))
+        left -= m
+
+
+# --------------------------------------------------------------- simulation
 
 
 def _atom_sums(idx, rad, k):
@@ -242,6 +235,7 @@ def _validate(plan, model, spec):
         raise ValueError("mean does not exist for alpha <= 1")
     if abs(model.alpha - spec.alpha) > 1e-12:
         raise ValueError("jump model and tempering disagree on alpha")
+    spec.check_sigma(model.sigma)
 
 
 def simulate_rowsum(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, threads=1):
@@ -255,7 +249,8 @@ def simulate_rowsum(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, threa
     out = np.empty((plan.replicates, d))
 
     def worker(rep):
-        idx, rad = _tempered_radii(model, spec, v, plan.n, plan.seed, rep)
+        u = _generator(plan.seed, rep).random((3, plan.n))
+        idx, rad = _tempered_jumps(model, spec, v, u)
         out[rep] = _atom_sums(idx, rad, k) @ sigma.directions / v - center
 
     _run_replicates(worker, plan.replicates, threads)
@@ -286,7 +281,8 @@ def simulate_paths(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, thread
     out = np.empty((plan.replicates, len(cuts), d))
 
     def worker(rep):
-        idx, rad = _tempered_radii(model, spec, v, n_jumps, plan.seed, rep)
+        u = _generator(plan.seed, rep).random((3, n_jumps))
+        idx, rad = _tempered_jumps(model, spec, v, u)
         for ci, c in enumerate(cuts):
             if c == 0:
                 out[rep, ci] = -plan.time_grid[ci] * center

@@ -73,6 +73,11 @@ class JumpModel:
     def dimension(self):
         return self.sigma.dimension
 
+    @property
+    def radius_scales(self):
+        """Absolute Pareto scales of R; P(R > r) has a kink at each."""
+        return self._scales
+
     def radius_survival(self, r):
         """P(R > r), vectorized."""
         r = np.asarray(r, dtype=float)
@@ -88,13 +93,6 @@ class JumpModel:
         local = (u - lo) / self._probs[comp]
         # 1 - local lies in (0, 1], so the power below is finite.
         return self._scales[comp] * (1.0 - local) ** (-1.0 / self.alpha)
-
-    def sample_jump(self, rng):
-        """One jump; returns (H, s) with H = R * s."""
-        idx = self.sigma.sample_index(rng)
-        r = float(self._radius_from_uniform(rng.random()))
-        s = self.sigma.directions[idx]
-        return r * s, s.copy()
 
     def norming_b(self, n):
         """Smallest b with P(R > b) <= 1/n.

@@ -2,9 +2,8 @@
 
 Everything here is shared numerical machinery: tolerance settings for the
 adaptive integrals used throughout the package, a thin wrapper over QUADPACK
-that turns non-convergence into a typed error, cancellation-safe complex
-exponential differences, and the upper incomplete gamma function extended to
-negative parameters by downward recurrence.
+that turns non-convergence into a typed error, and the upper incomplete
+gamma function extended to negative parameters by downward recurrence.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "adaptive_quad",
     "gammainc_upper",
-    "cexp_m1",
-    "cexp_m1_lin",
 ]
 
 
@@ -89,30 +86,6 @@ def adaptive_quad(f, a, b, settings=DEFAULT_QUADRATURE, points=None, weight=None
             estimate=err,
         )
     return value
-
-
-def cexp_m1(z):
-    """exp(iz) - 1 for real z, with the real part via the half-angle sine."""
-    z = np.asarray(z, dtype=float)
-    half = np.sin(0.5 * z)
-    return -2.0 * half * half + 1j * np.sin(z)
-
-
-# Below this magnitude sin(z) - z is evaluated by series to dodge cancellation.
-_SERIES_SWITCH = 1e-4
-
-
-def cexp_m1_lin(z):
-    """exp(iz) - 1 - iz for real z, cancellation-safe near zero."""
-    z = np.asarray(z, dtype=float)
-    half = np.sin(0.5 * z)
-    re = -2.0 * half * half
-    zc = z * z
-    series = -(z * zc) / 6.0 * (1.0 - zc / 20.0)
-    with np.errstate(invalid="ignore"):
-        direct = np.sin(z) - z
-    im = np.where(np.abs(z) < _SERIES_SWITCH, series, direct)
-    return re + 1j * im
 
 
 def _upper_gamma_series(p, x):

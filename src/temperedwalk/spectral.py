@@ -103,13 +103,6 @@ class SpectralMeasure:
         idx = np.searchsorted(self._cum, u, side="right")
         return np.minimum(idx, len(self) - 1)
 
-    def sample_index(self, rng):
-        return int(self._index_from_uniform(rng.random()))
-
-    def sample_direction(self, rng):
-        """One direction drawn with probability weight/total mass."""
-        return self._directions[self.sample_index(rng)].copy()
-
     def integrate(self, f):
         """sum_i w_i * f(s_i); f may return a scalar or a vector."""
         values = [np.asarray(f(s), dtype=float) for s in self._directions]

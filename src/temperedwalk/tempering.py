@@ -22,7 +22,6 @@ Built-in families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +45,8 @@ CUSTOM_Q = "custom_q"
 
 _FAMILIES = (NO_TEMPERING, CONDITIONALLY_EXPONENTIAL, EXPONENTIAL_Q, CUSTOM_Q)
 
-# Bisection bracket and width for inverse-survival sampling.
+# Left edge of the inverse-survival tables.
 _ROOT_LO = 1e-12
-_ROOT_REL_WIDTH = 1e-10
 
 # Validation grid for custom tempering callables.  The limit value alpha is
 # only required loosely at the left edge because admissible q may approach it
@@ -71,21 +69,24 @@ class RegularityReport:
 class TemperingSpec:
     """One tempering family with its rates and quadrature settings.
 
-    ``rates`` may be a positive scalar (used for every direction) or a
-    sequence aligned with the atoms of ``sigma``.  Directions are passed to
-    the evaluation methods as ``None`` (scalar-rate families), an atom index,
-    or a unit vector matched against ``sigma``.
+    ``rates`` may be a positive scalar (used for every atom) or a sequence
+    aligned with the atoms of ``sigma``.  Atoms are addressed by their index
+    j into ``sigma``; families whose q ignores the atom also accept None.
+
+    Per-atom rates and custom q bind the spec to ``sigma``, which it keeps
+    as ``self.sigma``; a walk or exponent on any other spectral measure is
+    rejected.  Scalar-rate families bind to nothing and keep ``sigma=None``.
     """
 
     def __init__(self, alpha, family, rates=None, sigma=None, q=None,
-                 quadrature=DEFAULT_QUADRATURE, _validate=True):
+                 quadrature=DEFAULT_QUADRATURE):
         if not 0.0 < alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
         if family not in _FAMILIES:
             raise ValueError(f"unknown tempering family {family!r}")
         self.alpha = float(alpha)
         self.family = family
-        self.sigma = sigma
+        self.sigma = None
         self.quadrature = quadrature
         self._q_callable = q
         self._tables = {}
@@ -98,8 +99,8 @@ class TemperingSpec:
             if not isinstance(sigma, SpectralMeasure):
                 raise ValueError("custom_q needs the spectral measure for validation")
             self._rates = None
-            if _validate:
-                self._validate_custom()
+            self.sigma = sigma
+            self._validate_custom()
         else:
             if rates is None:
                 raise ValueError(f"{family} needs a tempering rate")
@@ -116,6 +117,7 @@ class TemperingSpec:
                 if arr.shape[0] != len(sigma):
                     raise ValueError("need one rate per atom")
                 self._rates = arr
+                self.sigma = sigma
 
     # ---------------------------------------------------------------- setup
 
@@ -149,77 +151,61 @@ class TemperingSpec:
 
     # ------------------------------------------------------------- plumbing
 
-    def _atom_index(self, s):
-        if self.sigma is None:
-            raise ValueError("direction lookup needs a bound spectral measure")
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        diffs = np.max(np.abs(self.sigma.directions - s[None, :]), axis=1)
-        j = int(np.argmin(diffs))
-        if diffs[j] > 1e-9:
-            raise ValueError("direction is not an atom of the spectral measure")
-        return j
+    def rate(self, j=None):
+        """Tempering rate of atom j, an index or an index array.
 
-    def _rate_of(self, s):
-        if self._rates is None:
-            return None
-        if np.isscalar(self._rates):
+        A scalar rate is returned as the float itself for any j; families
+        without rates give None.
+        """
+        if not isinstance(self._rates, np.ndarray):
             return self._rates
-        if s is None:
-            raise ValueError("per-atom rates require a direction or atom index")
-        if isinstance(s, (int, np.integer)):
-            return float(self._rates[int(s)])
-        return float(self._rates[self._atom_index(s)])
+        return self._rates[self._index(j)]
 
-    def _direction_of(self, s):
-        # Resolve s to a concrete unit vector for custom callables.
-        if s is None:
-            raise ValueError("custom q needs a direction")
-        if isinstance(s, (int, np.integer)):
-            return self.sigma.directions[int(s)]
-        return np.atleast_1d(np.asarray(s, dtype=float))
+    def check_sigma(self, sigma):
+        """Raise ValueError unless the atoms of ``sigma`` are the ones this
+        spec indexes: always true for scalar rates, and for a bound spec
+        only when ``sigma`` equals the bound measure."""
+        if self.sigma is not None and self.sigma != sigma:
+            raise ValueError("tempering is bound to another spectral measure")
 
-    def rates_for(self, sigma):
-        """Per-atom rate array aligned with ``sigma``; None when rate-free."""
-        if self._rates is None:
-            return None
-        if np.isscalar(self._rates):
-            return np.full(len(sigma), self._rates)
-        if self.sigma is not None and len(self.sigma) != len(sigma):
-            raise ValueError("tempering rates do not match the spectral measure")
-        return np.asarray(self._rates)
+    def _index(self, j):
+        # Per-atom rates and custom q cannot default to an atom.
+        if j is None:
+            raise ValueError(f"{self.family} with a bound sigma needs an atom index")
+        return j
 
     # ------------------------------------------------------------ main laws
 
-    def q(self, r, s=None):
-        """Tempering function q(r, s); r may be an array."""
+    def q(self, r, j=None):
+        """Tempering function q(r, s_j) of atom j; r may be an array."""
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0) or np.any(~np.isfinite(r_arr)):
             raise ValueError("r must be positive and finite")
         if self.family == NO_TEMPERING:
             out = np.full(r_arr.shape, self.alpha)
         elif self.family == CONDITIONALLY_EXPONENTIAL:
-            lam = self._rate_of(s)
+            lam = self.rate(j)
             out = (self.alpha + lam * r_arr) * np.exp(-lam * r_arr)
         elif self.family == EXPONENTIAL_Q:
-            lam = self._rate_of(s)
+            lam = self.rate(j)
             out = self.alpha * np.exp(-lam * r_arr)
         else:
-            sv = self._direction_of(s)
+            sv = self.sigma.directions[self._index(j)]
             out = np.asarray([float(self._q_callable(float(ri), sv)) for ri in np.atleast_1d(r_arr)])
             out = out.reshape(r_arr.shape)
         return float(out) if out.ndim == 0 else out
 
-    def pi(self, u, s=None):
-        """Survival function pi(u, s) = P(T > u); u may be an array."""
+    def pi(self, u, j=None):
+        """Survival function pi(u, s_j) = P(T > u) of atom j; u may be an array."""
         u_arr = np.asarray(u, dtype=float)
         if np.any(u_arr <= 0.0) or np.any(~np.isfinite(u_arr)):
             raise ValueError("u must be positive and finite")
         if self.family == CUSTOM_Q:
-            sv = self._direction_of(s)
+            sv = self.sigma.directions[self._index(j)]
             out = np.asarray([self._pi_custom(float(ui), sv) for ui in np.atleast_1d(u_arr)])
             out = out.reshape(u_arr.shape)
         else:
-            out = self._pi_rate(u_arr, self._rate_of(s))
+            out = self._pi_rate(u_arr, self.rate(j))
         return float(out) if out.ndim == 0 else out
 
     def _pi_rate(self, u, lam):
@@ -244,7 +230,7 @@ class TemperingSpec:
         ) / a
         return min(max(val, 0.0), 1.0)
 
-    def pi_derivative(self, u, s=None):
+    def pi_derivative(self, u, j=None):
         """d pi / du.  Exponential survival differentiates in closed form;
         the other families use alpha*pi(u)/u - q(u)/u, which is exact."""
         u_arr = np.asarray(u, dtype=float)
@@ -253,61 +239,22 @@ class TemperingSpec:
         if self.family == NO_TEMPERING:
             out = np.zeros_like(u_arr)
         elif self.family == CONDITIONALLY_EXPONENTIAL:
-            lam = self._rate_of(s)
+            lam = self.rate(j)
             out = -lam * np.exp(-lam * u_arr)
         else:
-            out = (self.alpha * self.pi(u_arr, s) - self.q(u_arr, s)) / u_arr
+            out = (self.alpha * self.pi(u_arr, j) - self.q(u_arr, j)) / u_arr
         return float(out) if out.ndim == 0 else out
 
     # ------------------------------------------------------------- sampling
 
-    def sample_T(self, rng, s=None):
-        """One draw of the tempering variable T for direction s."""
-        u = 1.0 - rng.random()  # in (0, 1]
-        if self.family == NO_TEMPERING:
-            return math.inf
-        if self.family == CONDITIONALLY_EXPONENTIAL:
-            return -math.log(u) / self._rate_of(s)
-        if self.family == EXPONENTIAL_Q:
-            return float(self._expq_inverse(np.asarray(u), self._rate_of(s)))
-        sv = self._direction_of(s)
-        return self._invert_survival_scalar(u, lambda t: self._pi_custom(float(t), sv))
-
-    @staticmethod
-    def _invert_survival_scalar(u, pi_fn):
-        # Leftmost u with pi < target; bracket [1e-12, hi] by doubling, then
-        # bisect to relative width 1e-10 so flat stretches resolve to their
-        # left edge.
-        lo = _ROOT_LO
-        if float(pi_fn(lo)) < u:
-            return lo
-        hi = 1.0
-        for _ in range(200):
-            if float(pi_fn(hi)) < u:
-                break
-            hi *= 2.0
-        else:
-            raise ArithmeticError("survival function did not drop below the target")
-        while hi - lo > _ROOT_REL_WIDTH * hi:
-            mid = 0.5 * (lo + hi)
-            if float(pi_fn(mid)) < u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def _t_from_uniform(self, uprime, idx, sigma=None):
+    def _t_from_uniform(self, uprime, idx):
         """Vectorized T draws from uniforms in (0, 1] and atom indices."""
         uprime = np.asarray(uprime, dtype=float)
         if self.family == NO_TEMPERING:
             return np.full(uprime.shape, np.inf)
         if self.family == CUSTOM_Q:
-            return self._t_from_table(uprime, idx, sigma)
-        rates = self.rates_for(sigma) if sigma is not None else None
-        if rates is None:
-            lam = np.full(uprime.shape, self._rates) if np.isscalar(self._rates) else self._rates[idx]
-        else:
-            lam = rates[idx]
+            return self._t_from_table(uprime, idx)
+        lam = self.rate(idx)  # a scalar rate stays a float, with no gather
         if self.family == CONDITIONALLY_EXPONENTIAL:
             return -np.log(uprime) / lam
         return self._expq_inverse(uprime, lam)
@@ -315,8 +262,7 @@ class TemperingSpec:
     def _expq_inverse(self, u, lam):
         # pi depends on u only through lam*u here, so one unit-rate table in
         # z = lam*u serves every rate; draws are T = z(u') / lam.  Flat
-        # stretches of pi (the clamp at 1) resolve to their left edge, same
-        # as the bisection this replaces.
+        # stretches of pi (the clamp at 1) resolve to their left edge.
         piv, zv = self._expq_unit_table()
         return np.interp(u, piv, zv) / lam
 
@@ -331,21 +277,19 @@ class TemperingSpec:
             self._tables[key] = (piv[::-1], grid[::-1])
         return self._tables[key]
 
-    def _t_from_table(self, uprime, idx, sigma):
-        # Engine path for custom q: tabulate pi per atom once and invert by
-        # monotone interpolation.  The scalar sampler keeps exact bisection.
-        sig = sigma if sigma is not None else self.sigma
+    def _t_from_table(self, uprime, idx):
+        # Custom q: tabulate pi per atom of the bound sigma once and invert
+        # by monotone interpolation.
         out = np.empty_like(uprime)
         for j in np.unique(idx):
-            table = self._survival_table(int(j), sig)
+            table = self._survival_table(int(j))
             mask = idx == j
             out[mask] = np.interp(uprime[mask], table[0], table[1])
         return out
 
-    def _survival_table(self, j, sigma):
-        key = (j, id(sigma))
-        if key not in self._tables:
-            sv = sigma.directions[j]
+    def _survival_table(self, j):
+        if j not in self._tables:
+            sv = self.sigma.directions[j]
             u_hi = 1.0
             while self._pi_custom(u_hi, sv) > 1e-12 and u_hi < 1e18:
                 u_hi *= 2.0
@@ -353,8 +297,8 @@ class TemperingSpec:
             piv = np.asarray([self._pi_custom(float(g), sv) for g in grid])
             piv = np.minimum.accumulate(piv)  # enforce monotone despite quad noise
             order = np.argsort(piv)
-            self._tables[key] = (piv[order], grid[order])
-        return self._tables[key]
+            self._tables[j] = (piv[order], grid[order])
+        return self._tables[j]
 
     # ----------------------------------------------------------- regularity
 
@@ -369,16 +313,9 @@ class TemperingSpec:
         if beta <= self.alpha:
             raise ValueError("beta must exceed alpha")
         grid = np.geomspace(1e-6, 1.0, 61)
-        if self.sigma is not None:
-            atoms = [(j, self.sigma.directions[j]) for j in range(len(self.sigma))]
-        else:
-            atoms = [(None, None)]
-        rows = []
-        for j, sv in atoms:
-            s_arg = j if self.family != CUSTOM_Q else sv
-            qs = self.q(grid, s_arg)
-            rows.append(grid ** (1.0 - beta) * (self.alpha - qs))
-        values = np.vstack(rows)
+        atoms = [None] if self.sigma is None else range(len(self.sigma))
+        values = np.vstack([grid ** (1.0 - beta) * (self.alpha - self.q(grid, j))
+                            for j in atoms])
         sup = float(values.max())
         small = grid <= 1e-5
         sup_small = float(values[:, small].max())

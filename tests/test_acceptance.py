@@ -97,22 +97,24 @@ def test_a1_survival_identity(capsys):
 
 def test_a2_tempering_sampler_ks(capsys):
     """10^5 draws of the tempering variable match 1 - pi in KS distance for
-    each built-in family."""
+    each built-in family.  The draws come from the vectorized sampler that
+    the engine's jump source uses, fed one uniform per draw."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.Philox(key=np.array([2026, 0], dtype=np.uint64)))
+    atoms = np.zeros(100_000, dtype=np.int64)
 
     nt = TemperingSpec.no_tempering(1.2)
-    nodraws = [nt.sample_T(rng) for _ in range(100_000)]
+    nodraws = nt._t_from_uniform(1.0 - rng.random(100_000), atoms)
     # survival is identically 1: every draw must be the +inf sentinel, which
     # makes the KS distance exactly zero on the positive axis
-    ks_nt = 0.0 if all(math.isinf(t) for t in nodraws) else 1.0
+    ks_nt = 0.0 if np.all(np.isinf(nodraws)) else 1.0
 
     stats_out = {"no_tempering": ks_nt}
     for name, spec in [
         ("cond_exponential", TemperingSpec.conditionally_exponential(0.7, 1.0, ONE)),
         ("exponential_q", TemperingSpec.exponential_q(1.5, 2.0, ONE)),
     ]:
-        draws = np.array([spec.sample_T(rng) for _ in range(100_000)])
+        draws = spec._t_from_uniform(1.0 - rng.random(100_000), atoms)
         stats_out[name] = stats.kstest(draws, lambda t: 1.0 - spec.pi(t)).statistic
 
     elapsed = time.perf_counter() - t0
@@ -232,14 +234,30 @@ def test_a6_truncated_centering_cf(capsys):
     batch = engine.simulate_rowsum(plan, JumpModel(1.5, ONE), ce)
     ecf = analytics.empirical_cf(batch, GRID).values
     sup = float(np.max(np.abs(ecf - exact[plan.n])))
+
+    # The CF distance barely moves under a small location error, so the
+    # centering and the mean are checked on their own: a_n against its
+    # closed form, and the batch mean against the exact finite-n mean
+    # mu_n = E[(1/v) sum Y] - a_n, with E R = alpha/(alpha - 1) = 3.
+    n = plan.n
+    a_n = finite_n_law.truncated_center(n, 1.5, 1.0)
+    center_err = abs(batch.center[0] - a_n) / abs(a_n)
+    mu_n = finite_n_law.jump_mean_rowsum_mean(n, 1.5, 1.0) + n * 3.0 / n ** (1 / 1.5) - a_n
+    vals = batch.values[:, 0]
+    gap = abs(float(vals.mean()) - mu_n)
+    budget = 4.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
     elapsed = time.perf_counter() - t0
-    ok = sup <= 0.05 and slope_gap <= 0.02
+    ok = sup <= 0.05 and slope_gap <= 0.02 and center_err <= 1e-8 and gap <= budget
     _line(capsys, f"A6 {'PASS' if ok else 'FAIL'} sup|ecf - phi_n| = {sup:.4f} "
-                  f"<= 0.05; limit gap sup|phi_n - cf| = {floor[0]:.4f}, "
+                  f"<= 0.05; |a_n - exact|/a_n = {center_err:.1e} <= 1e-08; "
+                  f"|mean - mu_n| = {gap:.4f} vs 4se = {budget:.4f}; "
+                  f"limit gap sup|phi_n - cf| = {floor[0]:.4f}, "
                   f"slopes {_fmt(slopes)} vs {FLOOR_SLOPE:.4f} +/- 0.02 "
                   f"({elapsed:.0f}s)")
     assert slope_gap <= 0.02
     assert sup <= 0.05
+    assert center_err <= 1e-8
+    assert gap <= budget
 
 
 # --------------------------------------------------------------------- A7

@@ -371,3 +371,37 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "plan", 5),
+    ("cf-check", "cf_check", {"grid": "abc"}),
+    ("simulate", "tempering", 5),
+    ("diagnose", "diagnostics", [5]),
+], ids=["plan", "cf_check.grid", "tempering", "diagnostics_entry"])
+def test_section_that_is_not_an_object_is_a_config_error(tmp_path, command, section, value):
+    cfg = json.loads(DEMO.read_text())
+    cfg[section] = value
+    argv, env = _console_command()
+    proc = subprocess.run(
+        argv + [command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == "invalid_config"
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out, seed, threads):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+    rc = cli.run(["simulate", "--config", _write(tmp_path, BASE),
+                  "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert _stderr_code(capsys) == "internal"

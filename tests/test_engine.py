@@ -5,11 +5,14 @@ import pytest
 
 import finite_n_law
 from temperedwalk import (
+    DRIFT_FREE,
     JumpModel,
+    LevyExponent,
     SpectralMeasure,
     TemperingSpec,
     WalkPlan,
     engine,
+    levy_mass,
 )
 
 ONE = SpectralMeasure([[1.0]], [1.0])
@@ -34,12 +37,15 @@ def test_tempered_jump_reduces_to_raw_without_tempering():
     m = JumpModel(1.5, ONE)
     nt = TemperingSpec.no_tempering(1.5)
     rng1 = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
-    y = engine.sample_tempered_jump(m, nt, 100.0, rng1)
-    assert y.shape == (1,)
-    assert np.linalg.norm(y) >= 1.0  # never truncated, radius at least x_m
+    idx, rad = engine._tempered_jumps(m, nt, 100.0, rng1.random((3, 1000)))
+    assert idx.shape == rad.shape == (1000,)
+    assert np.all(idx == 0)
+    assert np.all(rad >= 1.0)  # never truncated, radius at least x_m
 
+    # a threshold reaches the jump source only through the plan, which
+    # rejects non-positive ones
     with pytest.raises(ValueError):
-        engine.sample_tempered_jump(m, nt, -1.0, rng1)
+        WalkPlan(n=10, replicates=1, seed=1, v_override=-1.0)
 
 
 def test_rowsum_batch_shape_and_meta():
@@ -207,3 +213,42 @@ def test_centered_rowsum_mean_tracks_jump_mean():
     exact = finite_n_law.jump_mean_rowsum_mean(plan.n, 1.5, 1.0)
     se = float(batch.values.std(ddof=1)) / math.sqrt(plan.replicates)
     assert abs(emp - exact) <= 4.0 * se
+
+
+# ------------------------------------------------------------ sigma binding
+
+
+def _two_rate_q(r, s):
+    return 0.7 * math.exp((-5.0 if s[0] > 0.0 else -0.2) * r)
+
+
+@pytest.mark.parametrize("bound", [
+    TemperingSpec.conditionally_exponential(0.7, [1.0, 4.0], TWO),
+    TemperingSpec.custom_q(0.7, _two_rate_q, TWO),
+], ids=["per_atom_rates", "custom_q"])
+def test_sigma_bound_tempering_rejects_another_sigma(bound):
+    flipped = SpectralMeasure([[-1.0], [1.0]], [0.3, 0.7])  # same law, atoms swapped
+    plan = WalkPlan(n=50, replicates=4, seed=5)
+    with pytest.raises(ValueError, match="spectral measure"):
+        engine.simulate_rowsum(plan, JumpModel(0.7, flipped), bound)
+    with pytest.raises(ValueError, match="spectral measure"):
+        LevyExponent(0.7, flipped, bound, DRIFT_FREE)
+    with pytest.raises(ValueError, match="spectral measure"):
+        levy_mass(0.7, flipped, bound, 1.0, 2.0)
+    # an equal measure built separately is the same sigma
+    equal = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])
+    a = engine.simulate_rowsum(plan, JumpModel(0.7, equal), bound)
+    b = engine.simulate_rowsum(plan, JumpModel(0.7, TWO), bound)
+    assert np.array_equal(a.values, b.values)
+
+
+def test_scalar_rate_without_sigma_runs_on_two_atoms():
+    plan = WalkPlan(n=400, replicates=50, seed=21)
+    m = JumpModel(0.7, TWO)
+    free = TemperingSpec.conditionally_exponential(0.7, 2.0)
+    given = TemperingSpec.conditionally_exponential(0.7, 2.0, TWO)
+    a = engine.simulate_rowsum(plan, m, free)
+    assert np.array_equal(a.values, engine.simulate_rowsum(plan, m, given).values)
+    grid = np.linspace(-3.0, 3.0, 7)[:, None]
+    assert np.array_equal(LevyExponent(0.7, TWO, free, DRIFT_FREE).eval_grid(grid),
+                          LevyExponent(0.7, TWO, given, DRIFT_FREE).eval_grid(grid))

@@ -74,14 +74,6 @@ def test_mixture_sampling_ks():
     assert ks <= 0.015
 
 
-def test_sample_jump_shapes():
-    m = JumpModel(1.5, TWO)
-    h, s = m.sample_jump(_rng(5))
-    assert h.shape == (1,) and s.shape == (1,)
-    assert abs(s[0]) == 1.0
-    assert np.linalg.norm(h) >= 1.0
-
-
 def test_mean_radius_and_jump():
     m = JumpModel(1.5, TWO, x_m=2.0)
     assert m.mean_radius() == pytest.approx(3.0 * 2.0)  # alpha/(alpha-1) * x_m

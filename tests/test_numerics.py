@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from temperedwalk.analytics import _cexpm1, _sin_m1
 from temperedwalk.numerics import (
     QuadratureError,
     QuadratureSettings,
     adaptive_quad,
-    cexp_m1,
-    cexp_m1_lin,
     gammainc_upper,
 )
 
@@ -89,23 +88,28 @@ def test_quadrature_settings_validation():
         QuadratureSettings(max_subdivisions=3)
 
 
+# The complex-exponential kernels below live in analytics, next to the
+# exponent code that uses them.
+
+
 def test_cexp_m1_small_and_large():
-    # series branch vs direct formula on either side of the switch
+    # exp(iz) - 1 through analytics._cexpm1, whose real part uses the
+    # half-angle sine, on both sides of the small-z regime
     for z in (1e-9, 1e-5, 1e-3, 0.5, 3.0):
         want = complex(np.cos(z) - 1.0, np.sin(z))
-        got = cexp_m1(z)
+        got = _cexpm1(np.asarray(1j * z))
         assert abs(got - want) <= 1e-15 + 1e-12 * abs(want)
 
 
 def test_cexp_m1_lin_removes_linear_term():
+    # sin(z) - z, the imaginary part of exp(iz) - 1 - iz, through
+    # analytics._sin_m1 on both sides of its series switch at 1e-4
     for z in (1e-10, 1e-6, 1e-4, 0.2):
-        got = cexp_m1_lin(z)
+        got = _sin_m1(z)
         if z < 1e-3:
-            # the direct subtractions cancel catastrophically here, so the
+            # the direct subtraction cancels catastrophically here, so the
             # oracle is the (rapidly convergent) Taylor series
-            want = complex(-z * z / 2.0 * (1.0 - z * z / 12.0),
-                           -z ** 3 / 6.0 * (1.0 - z * z / 20.0 + z ** 4 / 840.0))
+            want = -z ** 3 / 6.0 * (1.0 - z * z / 20.0 + z ** 4 / 840.0)
         else:
-            want = complex(np.cos(z) - 1.0, np.sin(z) - z)
-        assert got.real == pytest.approx(want.real, rel=1e-12)
-        assert got.imag == pytest.approx(want.imag, rel=1e-10)
+            want = np.sin(z) - z
+        assert got == pytest.approx(want, rel=1e-10)

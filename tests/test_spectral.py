@@ -64,13 +64,6 @@ def test_sample_index_frequencies():
     assert abs(frac - 0.7) < 0.005  # ~3.5 sigma at N=1e5
 
 
-def test_sample_direction_returns_copy():
-    sm = SpectralMeasure([[1.0]], [1.0])
-    d = sm.sample_direction(_rng())
-    d[0] = 99.0
-    assert sm.directions[0][0] == 1.0
-
-
 def test_equality_and_hash():
     a = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])
     b = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temperedwalk import SpectralMeasure, TemperingSpec
+from temperedwalk import JumpModel, SpectralMeasure, TemperingSpec, engine
 
 ONE = SpectralMeasure([[1.0]], [1.0])
 TWO = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])
@@ -38,7 +38,7 @@ def _families():
 
 def test_q_limits():
     for spec in _families():
-        s = None if spec.sigma is None else spec.sigma.directions[0]
+        s = 0
         assert spec.q(1e-10, s) == pytest.approx(spec.alpha, rel=1e-6)
         if spec.family != "no_tempering":  # q stays flat at alpha there
             assert spec.q(1e9, s) <= 1e-6 * spec.alpha
@@ -47,7 +47,7 @@ def test_q_limits():
 def test_pi_bounds_and_monotonicity():
     grid = np.geomspace(1e-8, 1e3, 120)
     for spec in _families():
-        s = None if spec.sigma is None else spec.sigma.directions[0]
+        s = 0
         vals = np.array([spec.pi(float(u), s) for u in grid])
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 1e-12)
@@ -58,7 +58,7 @@ def test_survival_identity_on_log_grid():
     """alpha*pi(r) - r*pi'(r) must reproduce q(r) for every family."""
     grid = np.geomspace(1e-3, 1e2, 40)
     for spec in _families():
-        s = None if spec.sigma is None else spec.sigma.directions[0]
+        s = 0
         for r in grid:
             r = float(r)
             lhs = spec.alpha * spec.pi(r, s) - r * spec.pi_derivative(r, s)
@@ -84,7 +84,7 @@ def test_custom_q_pi_matches_builtin():
     custom = TemperingSpec.custom_q(0.7, lambda r, s: 0.7 * math.exp(-2.0 * r), ONE)
     built = TemperingSpec.exponential_q(0.7, 2.0, ONE)
     for u in np.geomspace(1e-3, 20.0, 17):
-        assert custom.pi(float(u), ONE.directions[0]) == pytest.approx(
+        assert custom.pi(float(u), 0) == pytest.approx(
             built.pi(float(u), 0), abs=1e-8)
 
 
@@ -123,15 +123,18 @@ def test_survival_identity_property(alpha, lam, u):
 
 
 def test_no_tempering_sampler_returns_sentinel():
-    spec = TemperingSpec.no_tempering(1.2)
-    assert spec.sample_T(_rng()) == np.inf
+    # T = +inf leaves every raw radius untouched, however small v is
+    model = JumpModel(1.2, TWO)
+    u = _rng().random((3, 1000))
+    _, rad = engine._tempered_jumps(model, TemperingSpec.no_tempering(1.2), 1e-300, u)
+    assert np.array_equal(rad, model._radius_from_uniform(u[1]))
 
 
 def test_conditionally_exponential_sampler_ks():
     spec = TemperingSpec.conditionally_exponential(0.7, 1.0, ONE)
     rng = _rng(11)
     u = 1.0 - rng.random(100000)
-    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64), ONE))
+    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64)))
     cdf = 1.0 - np.exp(-t)
     i = np.arange(1, len(t) + 1)
     ks = max(np.max(np.abs(cdf - i / len(t))), np.max(np.abs(cdf - (i - 1) / len(t))))
@@ -142,24 +145,11 @@ def test_exponential_q_sampler_ks():
     spec = TemperingSpec.exponential_q(1.5, 1.0, ONE)
     rng = _rng(12)
     u = 1.0 - rng.random(100000)
-    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64), ONE))
+    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64)))
     cdf = 1.0 - np.array([spec.pi(float(x), 0) for x in t[:: len(t) // 2000]])
     i = np.arange(0, len(t), len(t) // 2000) + 1.0
     ks = np.max(np.abs(cdf - i / len(t)))
     assert ks <= 0.01
-
-
-def test_scalar_sampler_agrees_with_vectorized():
-    # both consume one uniform per draw, so feed them the same stream
-    for spec in (TemperingSpec.conditionally_exponential(0.7, 2.0, ONE),
-                 TemperingSpec.exponential_q(1.5, 1.0, ONE)):
-        us = _rng(13).random(40)
-        scal = []
-        rng = _rng(13)
-        for _ in range(40):
-            scal.append(spec.sample_T(rng, ONE.directions[0]))
-        vec = spec._t_from_uniform(1.0 - us, np.zeros(40, dtype=np.int64), ONE)
-        assert np.allclose(scal, vec, rtol=1e-8)
 
 
 def test_custom_q_sampler_ks():
@@ -167,7 +157,7 @@ def test_custom_q_sampler_ks():
     built = TemperingSpec.exponential_q(0.7, 1.0, ONE)
     rng = _rng(14)
     u = 1.0 - rng.random(20000)
-    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64), ONE))
+    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64)))
     sub = t[:: len(t) // 1000]
     cdf = 1.0 - np.array([built.pi(float(x), 0) for x in sub])
     i = np.arange(0, len(t), len(t) // 1000) + 1.0
@@ -177,13 +167,52 @@ def test_custom_q_sampler_ks():
 
 def test_per_atom_rates():
     spec = TemperingSpec.conditionally_exponential(0.7, [1.0, 4.0], TWO)
-    assert spec.pi(1.0, TWO.directions[0]) == pytest.approx(math.exp(-1.0))
-    assert spec.pi(1.0, TWO.directions[1]) == pytest.approx(math.exp(-4.0))
+    assert spec.pi(1.0, 0) == pytest.approx(math.exp(-1.0))
+    assert spec.pi(1.0, 1) == pytest.approx(math.exp(-4.0))
     # heavier tempering gives stochastically smaller T for shared uniforms
     u = _rng(15).random(500)
-    t0 = spec._t_from_uniform(1.0 - u, np.zeros(500, dtype=np.int64), TWO)
-    t1 = spec._t_from_uniform(1.0 - u, np.ones(500, dtype=np.int64), TWO)
+    t0 = spec._t_from_uniform(1.0 - u, np.zeros(500, dtype=np.int64))
+    t1 = spec._t_from_uniform(1.0 - u, np.ones(500, dtype=np.int64))
     assert np.all(t1 <= t0 + 1e-12)
+
+
+def _two_rate_q(r, s):
+    # q = 0.7 e^(-5r) on the atom at +1 and 0.7 e^(-0.2r) on the one at -1
+    return 0.7 * math.exp((-5.0 if s[0] > 0.0 else -0.2) * r)
+
+
+def test_custom_q_draws_each_atom_from_its_own_direction():
+    """T for atom j comes from q at sigma's atom j: an equal but separate
+    spectral measure, or a spec bound to that atom alone, gives the same
+    draws, and each atom's median matches its exponential_q twin."""
+    u = 1.0 - _rng(16).random(2000)
+    zeros, ones = np.zeros(2000, dtype=np.int64), np.ones(2000, dtype=np.int64)
+    spec = TemperingSpec.custom_q(0.7, _two_rate_q, TWO)
+    t_minus = spec._t_from_uniform(u, ones)  # the -1 table is built first
+    t_plus = spec._t_from_uniform(u, zeros)
+
+    twin = TemperingSpec.custom_q(
+        0.7, _two_rate_q, SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3]))
+    assert np.array_equal(twin._t_from_uniform(u, zeros), t_plus)
+    assert np.array_equal(twin._t_from_uniform(u, ones), t_minus)
+    for direction, draws in (([1.0], t_plus), ([-1.0], t_minus)):
+        alone = TemperingSpec.custom_q(0.7, _two_rate_q, SpectralMeasure([direction], [1.0]))
+        assert np.array_equal(alone._t_from_uniform(u, zeros), draws)
+
+    for rate, draws in ((5.0, t_plus), (0.2, t_minus)):
+        built = TemperingSpec.exponential_q(0.7, rate)._t_from_uniform(u, zeros)
+        assert np.median(draws) == pytest.approx(np.median(built), rel=0.01)
+
+
+def test_atom_index_required_where_q_depends_on_the_atom():
+    with pytest.raises(ValueError, match="atom index"):
+        TemperingSpec.conditionally_exponential(0.7, [1.0, 4.0], TWO).pi(1.0)
+    with pytest.raises(ValueError, match="atom index"):
+        TemperingSpec.custom_q(0.7, _two_rate_q, TWO).q(1.0)
+    # scalar rates serve every atom and bind no spectral measure
+    scalar = TemperingSpec.conditionally_exponential(0.7, 2.0, TWO)
+    assert scalar.sigma is None
+    assert scalar.pi(1.0) == scalar.pi(1.0, 1) == pytest.approx(math.exp(-2.0))
 
 
 # ---------------------------------------------------------------- validation
