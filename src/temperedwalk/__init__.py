@@ -2,8 +2,8 @@
 
 Simulates triangular-array row sums whose jumps are heavy-tailed with
 direction-dependent tempering, and validates them against the limiting
-tempered stable law: characteristic exponents by quadrature, analytic means
-and shifts, Lévy-measure masses, and empirical convergence diagnostics.
+tempered stable law: characteristic exponents, analytic means and shifts,
+Lévy-measure masses, and empirical convergence diagnostics.
 """
 
 from .analytics import (
@@ -36,7 +36,7 @@ from .engine import (
     tempering_threshold,
 )
 from .jumps import EXACT_PARETO, JumpModel, MixedScalePareto
-from .numerics import QuadratureError, QuadratureSettings, gammainc_upper
+from .numerics import QuadratureError, gammainc_upper
 from .spectral import SpectralMeasure
 from .tempering import (
     CONDITIONALLY_EXPONENTIAL,
@@ -83,7 +83,6 @@ __all__ = [
     "vague_convergence_table",
     "uan_profile",
     "density_1d",
-    "QuadratureSettings",
     "QuadratureError",
     "gammainc_upper",
     "__version__",

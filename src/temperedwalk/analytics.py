@@ -18,14 +18,9 @@ import numpy as np
 
 from .engine import _aux_jumps, tempering_threshold
 from .jumps import JumpModel
-from .numerics import DEFAULT_QUADRATURE, QuadratureError, adaptive_quad, gammainc_upper
+from .numerics import QuadratureError, adaptive_quad, integral_to_infinity
 from .spectral import SpectralMeasure
-from .tempering import (
-    CONDITIONALLY_EXPONENTIAL,
-    EXPONENTIAL_Q,
-    NO_TEMPERING,
-    TemperingSpec,
-)
+from .tempering import NoTempering, TemperingSpec
 
 __all__ = [
     "TRUNCATED",
@@ -58,22 +53,10 @@ _CONVENTIONS = (TRUNCATED, MEAN_ZERO, DRIFT_FREE)
 # same skip, so both paths put exact zeros at the same points.
 _ZERO_FREQ = 1e-12
 
-# Rate families whose atom exponents have closed forms.  Within _NEAR_ONE of
-# alpha = 1 the Gamma(-alpha) and Gamma(1 - alpha) poles cost about
-# log10(1/|alpha - 1|) digits, so those laws stay on quadrature.
-_CLOSED_FORM_FAMILIES = (CONDITIONALLY_EXPONENTIAL, EXPONENTIAL_Q)
+# Within _NEAR_ONE of alpha = 1 the Gamma(-alpha) and Gamma(1 - alpha) poles
+# of the closed forms cost about log10(1/|alpha - 1|) digits, so those laws
+# stay on quadrature.
 _NEAR_ONE = 1e-3
-
-
-def _integral_to_infinity(f, a, settings):
-    # Map [a, inf) to w in [0, 1) via r = a/(1-w); Gauss-Kronrod nodes stay
-    # interior so f is never called at r = inf.
-    def g(w):
-        one_m = 1.0 - w
-        r = a / one_m
-        return f(r) * a / (one_m * one_m)
-
-    return adaptive_quad(g, 0.0, 1.0, settings)
 
 
 def _log1m_i(u):
@@ -120,34 +103,19 @@ class _ClosedForm:
 def _closed_form(alpha, sigma, tempering, convention):
     """Closed-form atom exponents, or None where quadrature must serve.
 
-    With z = theta - ic: ``conditionally_exponential`` has
-    nu(dr) = -d(r^-alpha e^(-theta r)), and one integration by parts gives
-    ic Gamma(1-alpha) z^(alpha-1) (drift_free) and
-    ic Gamma(1-alpha) [z^(alpha-1) - theta^(alpha-1)] (mean_zero).
-    ``exponential_q`` is the classical tempered stable law,
-    alpha Gamma(-alpha) [z^alpha - theta^alpha], less
-    ic alpha theta^(alpha-1) Gamma(1-alpha) under mean_zero.  ``truncated``
-    adds ic * int_1^inf r nu(dr) to the mean_zero form, which holds on both
-    sides of alpha = 1.
+    The family supplies the drift-free and mean-zero forms
+    (``TemperingSpec.exponent_terms``); ``truncated`` adds
+    ic * int_1^inf r nu(dr), the family's tail moment above 1, to the
+    mean_zero form, which holds on both sides of alpha = 1.
     """
-    if tempering.family not in _CLOSED_FORM_FAMILIES or abs(alpha - 1.0) < _NEAR_ONE:
+    terms = None if abs(alpha - 1.0) < _NEAR_ONE else tempering.exponent_terms(len(sigma))
+    if terms is None:
         return None
-    theta = np.array([tempering.rate(j) for j in range(len(sigma))])
-    g1 = math.gamma(1.0 - alpha)
-    # Gamma(1 - alpha, theta) carries the part of the tail moment above r = 1.
-    upper = gammainc_upper(1.0 - alpha, theta) if convention == TRUNCATED else 0.0
-    linear = np.zeros_like(theta)
-    if tempering.family == CONDITIONALLY_EXPONENTIAL:
-        coef = g1 * theta ** (alpha - 1.0)
-        if convention == DRIFT_FREE:
-            linear = coef  # z^(alpha-1) = theta^(alpha-1) * (expm1(...) + 1)
-        elif convention == TRUNCATED:
-            linear = np.exp(-theta) + theta ** (alpha - 1.0) * upper
-        return _ClosedForm(theta, alpha - 1.0, coef, times_ic=True, linear=linear)
-    if convention != DRIFT_FREE:
-        linear = -alpha * theta ** (alpha - 1.0) * (g1 - upper)
-    return _ClosedForm(theta, alpha, alpha * math.gamma(-alpha) * theta ** alpha,
-                       times_ic=False, linear=linear)
+    theta, kappa, coef, times_ic, drift_free, mean_zero = terms
+    linear = drift_free if convention == DRIFT_FREE else mean_zero
+    if convention == TRUNCATED:
+        linear = linear + np.array([tempering.tail_moment(1.0, j) for j in range(len(sigma))])
+    return _ClosedForm(theta, kappa, coef, times_ic, linear)
 
 
 class LevyExponent:
@@ -169,7 +137,7 @@ class LevyExponent:
     """
 
     def __init__(self, alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
-                 convention=TRUNCATED, quadrature=DEFAULT_QUADRATURE):
+                 convention=TRUNCATED):
         if convention not in _CONVENTIONS:
             raise ValueError(f"unknown convention {convention!r}")
         if convention == MEAN_ZERO and alpha <= 1.0:
@@ -183,11 +151,9 @@ class LevyExponent:
         self.sigma = sigma
         self.tempering = tempering
         self.convention = convention
-        self.quadrature = quadrature
         self._atoms = _closed_form(self.alpha, sigma, tempering, convention)
         if self._atoms is None:
-            self._atoms = _QuadratureAtoms(self.alpha, sigma, tempering, convention,
-                                           quadrature)
+            self._atoms = _QuadratureAtoms(self.alpha, tempering, convention)
 
     @property
     def dimension(self):
@@ -226,26 +192,14 @@ class _QuadratureAtoms:
 
     The radial integral splits at r = 1: the inner piece uses a
     cancellation-safe integrand, the outer piece Fourier quadrature with the
-    non-oscillatory parts (the tail mass and, for mean_zero, the tail
-    moment) pulled out in closed form.
+    non-oscillatory parts (the tail mass r^-alpha pi(r) and, for mean_zero,
+    the family's tail moment) taken out.
     """
 
-    def __init__(self, alpha, sigma, tempering, convention, quadrature):
+    def __init__(self, alpha, tempering, convention):
         self.alpha = alpha
-        self.sigma = sigma
         self.tempering = tempering
         self.convention = convention
-        self.quadrature = quadrature
-        # Per-atom tail constants: mass above 1 and, for mean_zero, the
-        # linear moment above 1.
-        self._c0 = np.array([tempering.pi(1.0, j) for j in range(len(sigma))])
-        if convention == MEAN_ZERO:
-            self._c1 = np.array([
-                _tail_linear_moment(alpha, sigma, tempering, j, quadrature)
-                for j in range(len(sigma))
-            ])
-        else:
-            self._c1 = None
 
     def __call__(self, c):
         return np.array([[self.atom(j, cj) for j, cj in enumerate(row)] for row in c],
@@ -272,9 +226,9 @@ class _QuadratureAtoms:
                 return _sin_m1(c * r) * weight_fn(r)
             return math.sin(c * r) * weight_fn(r)
 
-        re_inner = adaptive_quad(re_part, 0.0, 1.0, self.quadrature)
+        re_inner = adaptive_quad(re_part, 0.0, 1.0)
         im_inner = adaptive_quad(lambda r: im_part(r, self.convention != DRIFT_FREE),
-                                 0.0, 1.0, self.quadrature)
+                                 0.0, 1.0)
         # QUADPACK's Fourier rule takes a first cycle of length pi/c at its
         # lower limit; when that is far longer than the decay scale of the
         # weight it returns about 0 with a tiny error estimate.  So the rule
@@ -284,22 +238,14 @@ class _QuadratureAtoms:
             span = math.log(start)
 
             def in_log_r(f):
-                return adaptive_quad(lambda t: f(math.exp(t)) * math.exp(t),
-                                     0.0, span, self.quadrature)
+                return adaptive_quad(lambda t: f(math.exp(t)) * math.exp(t), 0.0, span)
 
             re_inner += in_log_r(re_part)
             im_inner += in_log_r(lambda r: im_part(r, mean_zero))
-            mass = start ** (-alpha) * self.tempering.pi(start, j)
-            moment = (_tail_linear_moment(alpha, self.sigma, self.tempering, j,
-                                          self.quadrature, start)
-                      if mean_zero else 0.0)
-        else:
-            mass = self._c0[j]
-            moment = self._c1[j] if mean_zero else 0.0
-        tail_cos = adaptive_quad(weight_fn, start, np.inf, self.quadrature,
-                                 weight="cos", wvar=c)
-        tail_sin = adaptive_quad(weight_fn, start, np.inf, self.quadrature,
-                                 weight="sin", wvar=c)
+        mass = start ** (-alpha) * self.tempering.pi(start, j)
+        moment = self.tempering.tail_moment(start, j) if mean_zero else 0.0
+        tail_cos = adaptive_quad(weight_fn, start, np.inf, weight="cos", wvar=c)
+        tail_sin = adaptive_quad(weight_fn, start, np.inf, weight="sin", wvar=c)
         tail = tail_cos + 1j * tail_sin - mass - 1j * c * moment
         return re_inner + 1j * im_inner + tail
 
@@ -315,40 +261,37 @@ def _sin_m1(z):
     return math.sin(z) - z
 
 
-def _tail_linear_moment(alpha, sigma, tempering, j, quadrature, lower=1.0):
-    # integral_lower^inf q(r, s_j) r^{-alpha} dr; finite for every family
-    # when alpha > 1 and for all tempered families otherwise.
-    if tempering.family == NO_TEMPERING:
-        if alpha <= 1.0:
-            raise ValueError("tail first moment diverges without tempering at alpha <= 1")
-        return alpha * lower ** (1.0 - alpha) / (alpha - 1.0)
-    return _integral_to_infinity(
-        lambda r: tempering.q(r, j) * r ** (-alpha), lower, quadrature
-    )
-
-
-def tail_first_moment(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
-                      quadrature=DEFAULT_QUADRATURE):
+def tail_first_moment(alpha, sigma: SpectralMeasure, tempering: TemperingSpec):
     """The vector integral of x over ||x|| >= 1 against the Lévy measure."""
     tempering.check_sigma(sigma)
-    total = np.zeros(sigma.dimension)
-    for j in range(len(sigma)):
-        c1 = _tail_linear_moment(alpha, sigma, tempering, j, quadrature)
-        total += sigma.weights[j] * c1 * sigma.directions[j]
-    return total
+    return _over_atoms(sigma, lambda j: tempering.tail_moment(1.0, j))
+
+
+def _over_atoms(sigma, radial):
+    # sum_j w_j radial(j) s_j
+    return sum(sigma.weights[j] * radial(j) * sigma.directions[j] for j in range(len(sigma)))
+
+
+def _half_line(f):
+    # integral_0^inf f, split at 1
+    return adaptive_quad(f, 0.0, 1.0) + integral_to_infinity(f, 1.0)
 
 
 _REGULARITY_BETAS = 8
 
 
-def _require_regular(alpha, tempering):
+def _require_tempered_regular(alpha, sigma, tempering, what):
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"the {what} is defined for alpha in (1, 2)")
+    if isinstance(tempering, NoTempering):
+        raise ValueError(f"the {what} needs actual tempering")
+    tempering.check_sigma(sigma)
     betas = np.linspace(alpha + 0.05, 2.0, _REGULARITY_BETAS)
     if not any(tempering.verify_regularity(b).bounded for b in betas):
         raise ValueError("tempering fails the mean regularity hypothesis")
 
 
-def tempered_mean(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
-                  quadrature=DEFAULT_QUADRATURE, check_regularity=True):
+def tempered_mean(alpha, sigma: SpectralMeasure, tempering: TemperingSpec):
     """Mean vector of the limit law for alpha in (1, 2).
 
     Uses the order-swapped form: with gbar(r,s) = int_0^r (1 - pi(u,s)) du,
@@ -359,35 +302,19 @@ def tempered_mean(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
     one well-behaved radial integral per atom (integrand ~ u^{1-alpha} at 0,
     ~ u^{-alpha} at infinity).
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError("the tempered mean is defined for alpha in (1, 2)")
-    if tempering.family == NO_TEMPERING:
-        raise ValueError("the tempered mean needs actual tempering")
-    tempering.check_sigma(sigma)
-    if check_regularity:
-        _require_regular(alpha, tempering)
-    total = np.zeros(sigma.dimension)
-    for j in range(len(sigma)):
-        def integrand(u):
-            return (1.0 - tempering.pi(u, j)) * u ** (-alpha)
-
-        inner = adaptive_quad(integrand, 0.0, 1.0, quadrature)
-        outer = _integral_to_infinity(integrand, 1.0, quadrature)
-        total += sigma.weights[j] * (inner + outer) * sigma.directions[j]
-    return -total
+    _require_tempered_regular(alpha, sigma, tempering, "tempered mean")
+    return -_over_atoms(sigma, lambda j: _half_line(
+        lambda u: (1.0 - tempering.pi(u, j)) * u ** (-alpha)))
 
 
-def _gbar(tempering, j, r, quadrature):
-    # gbar(r, s_j) = r - int_0^r pi(u, s_j) du; closed form when pi is a pure
-    # exponential, quadrature otherwise.
-    if tempering.family == CONDITIONALLY_EXPONENTIAL:
-        lam = tempering.rate(j)
-        return r - (1.0 - math.exp(-lam * r)) / lam
-    return r - adaptive_quad(lambda u: tempering.pi(u, j), 0.0, r, quadrature)
+def _gbar(tempering, j, r):
+    # gbar(r, s_j) = r - int_0^r pi(u, s_j) du, where (u pi)' = (alpha+1) pi - q
+    # gives int_0^r pi = (Q(r) + r pi(r)) / (alpha + 1).
+    pi_integral = tempering.cumulative_q(r, j) + r * tempering.pi(r, j)
+    return r - pi_integral / (tempering.alpha + 1.0)
 
 
-def shift_theta(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
-                quadrature=DEFAULT_QUADRATURE, check_regularity=True):
+def shift_theta(alpha, sigma: SpectralMeasure, tempering: TemperingSpec):
     """Shift vector theta = -m + tail_first_moment, by its defining route.
 
     The first term is integrated as alpha * gbar(r,s) r^{-alpha-1} without
@@ -395,52 +322,30 @@ def shift_theta(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
     tail_first_moment against tempered_mean exercises two independent
     quadrature paths of the same quantity.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError("the shift is defined for alpha in (1, 2)")
-    if tempering.family == NO_TEMPERING:
-        raise ValueError("the shift needs actual tempering")
-    tempering.check_sigma(sigma)
-    if check_regularity:
-        _require_regular(alpha, tempering)
-    first = np.zeros(sigma.dimension)
-    for j in range(len(sigma)):
-        def integrand(r):
-            return _gbar(tempering, j, r, quadrature) * r ** (-alpha - 1.0)
-
-        inner = adaptive_quad(integrand, 0.0, 1.0, quadrature)
-        outer = _integral_to_infinity(integrand, 1.0, quadrature)
-        first += sigma.weights[j] * (inner + outer) * sigma.directions[j]
-    return alpha * first + tail_first_moment(alpha, sigma, tempering, quadrature)
+    _require_tempered_regular(alpha, sigma, tempering, "shift")
+    first = _over_atoms(sigma, lambda j: _half_line(
+        lambda r: _gbar(tempering, j, r) * r ** (-alpha - 1.0)))
+    return alpha * first + tail_first_moment(alpha, sigma, tempering)
 
 
 def levy_mass(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
-              r_lo, r_hi, atoms=None, quadrature=DEFAULT_QUADRATURE):
+              r_lo, r_hi, atoms=None):
     """Mass of the Lévy measure on {r in [r_lo, r_hi], s in atoms}.
 
-    Closed form without tempering, direct quadrature of q(r,s) r^{-alpha-1}
-    otherwise; r_hi may be infinite.
+    Every family takes it from its tail function,
+    int_a^b r^{-alpha-1} q(r,s) dr = a^{-alpha} pi(a,s) - b^{-alpha} pi(b,s);
+    r_hi may be infinite.
     """
     if not (0.0 < r_lo <= r_hi):
         raise ValueError("need 0 < r_lo <= r_hi")
     tempering.check_sigma(sigma)
     indices = range(len(sigma)) if atoms is None else atoms
+    if any(not 0 <= j < len(sigma) for j in indices):
+        raise ValueError("atoms must be indices of sigma's atoms")
     total = 0.0
     for j in indices:
-        w = sigma.weights[j]
-        if r_lo == r_hi:
-            continue
-        if tempering.family == NO_TEMPERING:
-            upper = 0.0 if math.isinf(r_hi) else r_hi ** (-alpha)
-            total += w * (r_lo ** (-alpha) - upper)
-            continue
-
-        def integrand(r):
-            return tempering.q(r, j) * r ** (-alpha - 1.0)
-
-        if math.isinf(r_hi):
-            total += w * _integral_to_infinity(integrand, r_lo, quadrature)
-        else:
-            total += w * adaptive_quad(integrand, r_lo, r_hi, quadrature)
+        upper = 0.0 if math.isinf(r_hi) else r_hi ** (-alpha) * tempering.pi(r_hi, j)
+        total += sigma.weights[j] * (r_lo ** (-alpha) * tempering.pi(r_lo, j) - upper)
     return total
 
 
@@ -594,8 +499,7 @@ class UANProfile:
     slope: float
 
 
-def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas,
-                quadrature=DEFAULT_QUADRATURE):
+def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas):
     """Truncated second moments n v^{-2} E||Y 1(||Y|| <= v delta)||^2.
 
     Computed by quadrature: with Z = min(R/v, T),
@@ -617,7 +521,7 @@ def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas,
         for j in range(len(sigma)):
             integral = adaptive_quad(
                 lambda u: u * model.radius_survival(v * u) * tempering.pi(u, j),
-                0.0, float(delta), quadrature, points=breaks,
+                0.0, float(delta), points=breaks,
             )
             edge = delta ** 2 * model.radius_survival(v * delta) * tempering.pi(float(delta), j)
             total += sigma.weights[j] / mass * (2.0 * integral - edge)

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,7 @@ import numpy as np
 from . import analytics, engine
 from .jumps import EXACT_PARETO, JumpModel, MixedScalePareto
 from .spectral import SpectralMeasure
-from .tempering import (
-    CONDITIONALLY_EXPONENTIAL,
-    EXPONENTIAL_Q,
-    NO_TEMPERING,
-    TemperingSpec,
-)
+from .tempering import FAMILIES, NoTempering, RateFamily
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -77,6 +73,15 @@ def _object(value, where):
     return value
 
 
+@contextmanager
+def _config_values(where):
+    """Make a config value of the wrong type or form a config error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        _fail("invalid_config", f"bad {where}: {exc}")
+
+
 def _build_sigma(cfg):
     atoms = cfg.get("sigma")
     if isinstance(atoms, dict):
@@ -93,17 +98,16 @@ def _build_sigma(cfg):
 
 def _build_model(cfg, sigma):
     mc = _object(_need(cfg, "model", "config"), "model")
-    alpha = float(_need(mc, "alpha", "model"))
-    x_m = float(mc.get("x_m", 1.0))
+    with _config_values("model"):
+        alpha = float(_need(mc, "alpha", "model"))
+        x_m = float(mc.get("x_m", 1.0))
     radial_cfg = mc.get("radial", EXACT_PARETO)
     if isinstance(radial_cfg, dict):
-        try:
+        with _config_values("radial mixture"):
             radial = MixedScalePareto(
                 tuple(_need(radial_cfg, "scales", "model.radial")),
                 tuple(_need(radial_cfg, "weights", "model.radial")),
             )
-        except ValueError as exc:
-            _fail("invalid_config", f"bad radial mixture: {exc}")
     elif radial_cfg == EXACT_PARETO:
         radial = EXACT_PARETO
     else:
@@ -117,11 +121,13 @@ def _build_model(cfg, sigma):
 def _build_tempering(cfg, alpha, sigma):
     tc = _object(_need(cfg, "tempering", "config"), "tempering")
     family = _need(tc, "family", "tempering")
-    if "alpha" in tc and abs(float(tc["alpha"]) - alpha) > 1e-12:
-        _fail("invalid_config", "tempering alpha must match model alpha")
-    if family == NO_TEMPERING:
-        return TemperingSpec.no_tempering(alpha)
-    if family not in (CONDITIONALLY_EXPONENTIAL, EXPONENTIAL_Q):
+    with _config_values("tempering"):
+        if "alpha" in tc and abs(float(tc["alpha"]) - alpha) > 1e-12:
+            _fail("invalid_config", "tempering alpha must match model alpha")
+    spec_class = FAMILIES.get(family) if isinstance(family, str) else None
+    if spec_class is NoTempering:
+        return spec_class(alpha)
+    if spec_class is None or not issubclass(spec_class, RateFamily):
         _fail("invalid_config", f"unknown or non-config tempering family {family!r}")
     rates = _need(tc, "rates", "tempering")
     if isinstance(rates, dict):
@@ -134,13 +140,11 @@ def _build_tempering(cfg, alpha, sigma):
             if seen != set(range(len(sigma))):
                 _fail("invalid_config", "rates map must cover every atom index")
             rates = arr
-        except (ValueError, IndexError):
-            _fail("invalid_config", "rates map keys must be valid atom indices")
+        except (ValueError, IndexError, TypeError):
+            _fail("invalid_config", "rates map must take atom indices to rates")
     try:
-        if family == CONDITIONALLY_EXPONENTIAL:
-            return TemperingSpec.conditionally_exponential(alpha, rates, sigma)
-        return TemperingSpec.exponential_q(alpha, rates, sigma)
-    except ValueError as exc:
+        return spec_class(alpha, rates, sigma)
+    except (ValueError, TypeError) as exc:
         _fail("invalid_config", f"bad tempering: {exc}")
 
 
@@ -282,24 +286,26 @@ def _cmd_cf_check(cfg, out, seed, threads):
     sigma, model, tempering, plan = _build_all(cfg, seed)
     cc = _object(cfg.get("cf_check", {}), "cf_check")
     convention = cc.get("convention", analytics.TRUNCATED)
-    threshold = float(cc.get("threshold", 0.05))
     gc = _object(cc.get("grid", {}), "cf_check.grid")
-    grid = analytics.default_cf_grid(
-        sigma.dimension,
-        lo=float(gc.get("lo", -5.0)),
-        hi=float(gc.get("hi", 5.0)),
-        points=int(gc.get("points", 201)),
-    )
+    with _config_values("cf_check"):
+        threshold = float(cc.get("threshold", 0.05))
+        grid = analytics.default_cf_grid(
+            sigma.dimension,
+            lo=float(gc.get("lo", -5.0)),
+            hi=float(gc.get("hi", 5.0)),
+            points=int(gc.get("points", 201)),
+        )
+        drift = cc.get("drift")
+        drift = None if drift is None else np.asarray(drift, dtype=float)
     try:
         exponent = analytics.LevyExponent(model.alpha, sigma, tempering, convention)
     except ValueError as exc:
         _fail("invalid_config", f"bad convention: {exc}")
-    drift = cc.get("drift")
     if cc.get("self_test"):
         # One evaluation serves as both sides of the comparison.
         psi = exponent.eval_grid(grid)
         if drift is not None:
-            psi = psi + 1j * (grid @ np.asarray(drift, dtype=float))
+            psi = psi + 1j * (grid @ drift)
         cf = analytics.CFGrid(points=grid, values=np.exp(psi))
         dist = analytics.cf_distance(cf, psi)
     else:
@@ -325,18 +331,19 @@ def _cmd_cf_check(cfg, out, seed, threads):
 
 
 def _diag_vague(cfg_entry, model, tempering, plan):
-    sectors = []
-    for sc in _need(cfg_entry, "sectors", "vague_convergence diagnostic"):
-        sc = _object(sc, "sector")
-        r_hi = sc.get("r_hi")
-        sectors.append(analytics.Sector(
-            r_lo=float(_need(sc, "r_lo", "sector")),
-            r_hi=float("inf") if r_hi in (None, "inf") else float(r_hi),
-            atoms=tuple(sc["atoms"]) if sc.get("atoms") is not None else None,
-        ))
-    n = int(cfg_entry.get("n", plan.n))
-    draws = int(cfg_entry.get("draws", 10 ** 6))
-    rel_tol = float(cfg_entry.get("rel_tol", 0.05))
+    with _config_values("vague_convergence diagnostic"):
+        sectors = []
+        for sc in _need(cfg_entry, "sectors", "vague_convergence diagnostic"):
+            sc = _object(sc, "sector")
+            r_hi = sc.get("r_hi")
+            sectors.append(analytics.Sector(
+                r_lo=float(_need(sc, "r_lo", "sector")),
+                r_hi=float("inf") if r_hi in (None, "inf") else float(r_hi),
+                atoms=tuple(sc["atoms"]) if sc.get("atoms") is not None else None,
+            ))
+        n = int(cfg_entry.get("n", plan.n))
+        draws = int(cfg_entry.get("draws", 10 ** 6))
+        rel_tol = float(cfg_entry.get("rel_tol", 0.05))
     rows = analytics.vague_convergence_table(
         model, tempering, n, sectors, draws, seed=plan.seed)
     checks = []
@@ -354,9 +361,10 @@ def _diag_vague(cfg_entry, model, tempering, plan):
 
 
 def _diag_uan(cfg_entry, model, tempering, plan):
-    deltas = cfg_entry.get("deltas") or list(np.geomspace(0.05, 1.0, 9))
-    n = int(cfg_entry.get("n", plan.n))
-    band = float(cfg_entry.get("band", 0.15))
+    with _config_values("uan diagnostic"):
+        deltas = [float(d) for d in cfg_entry.get("deltas") or np.geomspace(0.05, 1.0, 9)]
+        n = int(cfg_entry.get("n", plan.n))
+        band = float(cfg_entry.get("band", 0.15))
     profile = analytics.uan_profile(model, tempering, n, deltas)
     target = 2.0 - model.alpha
     passed = abs(profile.slope - target) <= band
@@ -369,11 +377,9 @@ def _diag_uan(cfg_entry, model, tempering, plan):
 
 
 def _diag_regularity(cfg_entry, model, tempering):
-    beta = float(_need(cfg_entry, "beta", "regularity diagnostic"))
-    try:
+    with _config_values("regularity diagnostic"):
+        beta = float(_need(cfg_entry, "beta", "regularity diagnostic"))
         report = tempering.verify_regularity(beta)
-    except ValueError as exc:
-        _fail("invalid_config", f"bad regularity diagnostic: {exc}")
     return [_check(
         "tempering_regularity", {"beta": beta, "sup_value": report.sup_value},
         report.sup_value, None, report.bounded,
@@ -408,21 +414,21 @@ def _cmd_density(cfg, out, seed, threads):
     dc = _object(cfg.get("density", {}), "density")
     convention = dc.get("convention", analytics.TRUNCATED)
     gc = _object(dc.get("x", {}), "density.x")
-    lo = float(gc.get("lo", -10.0))
-    hi = float(gc.get("hi", 10.0))
-    points = int(gc.get("points", 201))
+    with _config_values("density"):
+        x = np.linspace(float(gc.get("lo", -10.0)), float(gc.get("hi", 10.0)),
+                        int(gc.get("points", 201)))
+        threshold = float(dc.get("mass_defect_tol", 1e-4))
+        drift = dc.get("drift")
+        drift = None if drift is None else np.asarray(drift, dtype=float)
     try:
         exponent = analytics.LevyExponent(model.alpha, sigma, tempering, convention)
     except ValueError as exc:
         _fail("invalid_config", f"bad convention: {exc}")
-    drift = dc.get("drift")
-    x = np.linspace(lo, hi, points)
     result = analytics.density_1d(exponent, drift, x)
     lines = ["x,density"]
     for xi, di in zip(result.x, result.density):
         lines.append(f"{_fmt(xi)},{_fmt(di)}")
     (out / "density.csv").write_text("\n".join(lines) + "\n")
-    threshold = float(dc.get("mass_defect_tol", 1e-4))
     passed = result.mass_defect <= threshold
     report = {
         "checks": [

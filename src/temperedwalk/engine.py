@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jumps import JumpModel
-from .numerics import DEFAULT_QUADRATURE, adaptive_quad
-from .tempering import CUSTOM_Q, TemperingSpec
+from .numerics import adaptive_quad
+from .tempering import TemperingSpec
 
 __all__ = [
     "WalkPlan",
@@ -132,28 +132,27 @@ def tempering_threshold(model: JumpModel, n, v_override=None):
 # --------------------------------------------------------------- centering
 
 
-def centering_truncated_mean(model, spec, n, v, mc_draws=10 ** 6, seed=0,
-                             quadrature=DEFAULT_QUADRATURE):
+def centering_truncated_mean(model, spec, n, v, mc_draws=10 ** 6, seed=0):
     """Truncated-mean centering a_n = n * E[X 1(||X|| < 1)], X = Y/v.
 
     With Z = min(R/v, T) and S_R the radius survival function,
 
         E[Z 1(Z <= 1)] = integral_0^1 S_R(v*u) pi(u, s) du - S_R(v) pi(1, s),
 
-    so the quadrature method needs one finite integral per atom.  Custom q,
-    whose pi is itself a quadrature, takes Monte Carlo over fresh tempered
-    jumps on an auxiliary stream instead.
+    so the quadrature method needs one finite integral per atom.  A family
+    whose pi is itself a quadrature (``spec.pi_by_quadrature``) takes Monte
+    Carlo over fresh tempered jumps on an auxiliary stream instead.
     """
     sigma = model.sigma
     spec.check_sigma(sigma)
     mass = sigma.total_mass()
-    if spec.family != CUSTOM_Q:
+    if not spec.pi_by_quadrature:
         breaks = sorted(float(c) / v for c in model.radius_scales)
         total = np.zeros(sigma.dimension)
         for j in range(len(sigma)):
             integral = adaptive_quad(
                 lambda u: model.radius_survival(v * u) * spec.pi(u, j),
-                0.0, 1.0, quadrature, points=breaks,
+                0.0, 1.0, points=breaks,
             )
             term = integral - model.radius_survival(v) * spec.pi(1.0, j)
             total += sigma.weights[j] * term * sigma.directions[j]

@@ -1,45 +1,31 @@
 """Quadrature plumbing and small special-function kernels.
 
-Everything here is shared numerical machinery: tolerance settings for the
-adaptive integrals used throughout the package, a thin wrapper over QUADPACK
-that turns non-convergence into a typed error, and the upper incomplete
-gamma function extended to negative parameters by downward recurrence.
+Everything here is shared numerical machinery: one set of tolerances for
+the adaptive integrals used throughout the package, a thin wrapper over
+QUADPACK that turns non-convergence into a typed error, and the upper
+incomplete gamma function extended to negative parameters by downward
+recurrence.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "QuadratureSettings",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
     "adaptive_quad",
+    "integral_to_infinity",
     "gammainc_upper",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances for the adaptive radial integrals."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
-
-DEFAULT_QUADRATURE = QuadratureSettings()
+# Tolerances of every adaptive radial integral.
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+MAX_SUBDIVISIONS = 200
 
 
 class QuadratureError(ArithmeticError):
@@ -55,7 +41,7 @@ class QuadratureError(ArithmeticError):
 _REJECT_LEVEL = 1e-6
 
 
-def adaptive_quad(f, a, b, settings=DEFAULT_QUADRATURE, points=None, weight=None, wvar=None):
+def adaptive_quad(f, a, b, points=None, weight=None, wvar=None):
     """Integrate ``f`` over ``[a, b]`` adaptively.
 
     ``weight``/``wvar`` select QUADPACK's oscillatory rules (needed for
@@ -75,9 +61,9 @@ def adaptive_quad(f, a, b, settings=DEFAULT_QUADRATURE, points=None, weight=None
         warnings.simplefilter("ignore")
         value, err = integrate.quad(
             f, a, b,
-            epsabs=settings.abs_tol,
-            epsrel=settings.rel_tol,
-            limit=settings.max_subdivisions,
+            epsabs=ABS_TOL,
+            epsrel=REL_TOL,
+            limit=MAX_SUBDIVISIONS,
             **kwargs,
         )
     if not math.isfinite(value) or err > max(_REJECT_LEVEL, _REJECT_LEVEL * abs(value)):
@@ -86,6 +72,15 @@ def adaptive_quad(f, a, b, settings=DEFAULT_QUADRATURE, points=None, weight=None
             estimate=err,
         )
     return value
+
+
+def integral_to_infinity(f, a):
+    """Integrate ``f`` over ``[a, inf)`` as r = a/(1-w), w in [0, 1): f never sees inf."""
+    def g(w):
+        one_m = 1.0 - w
+        return f(a / one_m) * a / (one_m * one_m)
+
+    return adaptive_quad(g, 0.0, 1.0)
 
 
 def _upper_gamma_series(p, x):

@@ -10,27 +10,35 @@ everything downstream only uses the survival function).  q induces
 which is the tail P(T > u) of the tempering variable T attached to direction
 s.  Tempered jumps keep their direction and have radius min(R, v*T).
 
-Built-in families:
+Each family is a subclass of ``TemperingSpec``, listed by name in
+``FAMILIES``, with its own q, pi, T sampler, Q(r) = int_0^r q and
+tail_moment(L) = int_L^inf q r^-alpha dr (quadrature unless overridden):
 
-* ``no_tempering``            q = alpha, pi = 1, T = +inf.
-* ``conditionally_exponential``  q = (alpha + lam*r) e^(-lam*r), pi = e^(-lam*u).
-* ``exponential_q``           q = alpha * e^(-lam*r); pi needs the upper
-                              incomplete gamma at negative parameter.
-* ``custom_q``                user callable, validated by sampling; pi by
-                              adaptive quadrature.
+* ``NoTempering``  q = alpha, pi = 1, T = +inf.
+* ``ConditionallyExponential``  q = (alpha + lam r) e^(-lam r), pi = e^(-lam u).
+* ``ExponentialQ``  q = alpha e^(-lam r), pi = alpha (lam u)^alpha Gamma(-alpha, lam u).
+* ``CustomQ``  user callable, validated by sampling; pi by quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE, adaptive_quad, gammainc_upper
+from .numerics import adaptive_quad, gammainc_upper, integral_to_infinity
 from .spectral import SpectralMeasure
 
 __all__ = [
     "TemperingSpec",
+    "RateFamily",
+    "NoTempering",
+    "ConditionallyExponential",
+    "ExponentialQ",
+    "CustomQ",
+    "FAMILIES",
     "RegularityReport",
     "NO_TEMPERING",
     "CONDITIONALLY_EXPONENTIAL",
@@ -42,8 +50,6 @@ NO_TEMPERING = "no_tempering"
 CONDITIONALLY_EXPONENTIAL = "conditionally_exponential"
 EXPONENTIAL_Q = "exponential_q"
 CUSTOM_Q = "custom_q"
-
-_FAMILIES = (NO_TEMPERING, CONDITIONALLY_EXPONENTIAL, EXPONENTIAL_Q, CUSTOM_Q)
 
 # Left edge of the inverse-survival tables.
 _ROOT_LO = 1e-12
@@ -66,88 +72,59 @@ class RegularityReport:
     values: np.ndarray  # one row per atom (or a single row for scalar rates)
 
 
-class TemperingSpec:
-    """One tempering family with its rates and quadrature settings.
+def _positive(x, name):
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0) or np.any(~np.isfinite(arr)):
+        raise ValueError(f"{name} must be positive and finite")
+    return arr
 
-    ``rates`` may be a positive scalar (used for every atom) or a sequence
-    aligned with the atoms of ``sigma``.  Atoms are addressed by their index
-    j into ``sigma``; families whose q ignores the atom also accept None.
+
+def _unwrap(out):
+    return float(out) if out.ndim == 0 else out
+
+
+def _pointwise(f, x):
+    return np.asarray([f(float(xi)) for xi in np.atleast_1d(x)]).reshape(x.shape)
+
+
+class TemperingSpec:
+    """One tempering family with its rates; subclasses are the families.
+
+    Atoms are addressed by their index j into ``sigma``; families whose q
+    ignores the atom also accept None.
 
     Per-atom rates and custom q bind the spec to ``sigma``, which it keeps
     as ``self.sigma``; a walk or exponent on any other spectral measure is
     rejected.  Scalar-rate families bind to nothing and keep ``sigma=None``.
     """
 
-    def __init__(self, alpha, family, rates=None, sigma=None, q=None,
-                 quadrature=DEFAULT_QUADRATURE):
+    family = None  # the family's name, a key of FAMILIES
+    pi_by_quadrature = False  # True where every pi value costs a quadrature
+
+    def __init__(self, alpha):
         if not 0.0 < alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
-        if family not in _FAMILIES:
-            raise ValueError(f"unknown tempering family {family!r}")
         self.alpha = float(alpha)
-        self.family = family
         self.sigma = None
-        self.quadrature = quadrature
-        self._q_callable = q
-        self._tables = {}
-
-        if family == NO_TEMPERING:
-            self._rates = None
-        elif family == CUSTOM_Q:
-            if q is None or not callable(q):
-                raise ValueError("custom_q needs a callable q(r, s)")
-            if not isinstance(sigma, SpectralMeasure):
-                raise ValueError("custom_q needs the spectral measure for validation")
-            self._rates = None
-            self.sigma = sigma
-            self._validate_custom()
-        else:
-            if rates is None:
-                raise ValueError(f"{family} needs a tempering rate")
-            if np.isscalar(rates):
-                if not (np.isfinite(rates) and rates > 0):
-                    raise ValueError("tempering rate must be positive")
-                self._rates = float(rates)
-            else:
-                arr = np.asarray(rates, dtype=float).ravel()
-                if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
-                    raise ValueError("tempering rates must be positive")
-                if not isinstance(sigma, SpectralMeasure):
-                    raise ValueError("per-atom rates need the spectral measure")
-                if arr.shape[0] != len(sigma):
-                    raise ValueError("need one rate per atom")
-                self._rates = arr
-                self.sigma = sigma
+        self._rates = None
 
     # ---------------------------------------------------------------- setup
 
     @classmethod
     def no_tempering(cls, alpha):
-        return cls(alpha, NO_TEMPERING)
+        return NoTempering(alpha)
 
     @classmethod
     def conditionally_exponential(cls, alpha, rates, sigma=None):
-        return cls(alpha, CONDITIONALLY_EXPONENTIAL, rates=rates, sigma=sigma)
+        return ConditionallyExponential(alpha, rates, sigma)
 
     @classmethod
     def exponential_q(cls, alpha, rates, sigma=None):
-        return cls(alpha, EXPONENTIAL_Q, rates=rates, sigma=sigma)
+        return ExponentialQ(alpha, rates, sigma)
 
     @classmethod
-    def custom_q(cls, alpha, q, sigma, quadrature=DEFAULT_QUADRATURE):
-        return cls(alpha, CUSTOM_Q, sigma=sigma, q=q, quadrature=quadrature)
-
-    def _validate_custom(self):
-        for s in self.sigma.directions:
-            vals = np.asarray([float(self._q_callable(r, s)) for r in _CHECK_GRID])
-            if np.any(~np.isfinite(vals)) or np.any(vals < -1e-12):
-                raise ValueError("custom q must be finite and nonnegative")
-            if np.any(np.diff(vals) > 1e-12 * self.alpha):
-                raise ValueError("custom q must be non-increasing in r")
-            if abs(vals[0] - self.alpha) > _LIMIT_SLACK * self.alpha:
-                raise ValueError("custom q must approach alpha as r -> 0")
-            if vals[-1] > 1e-6 * self.alpha:
-                raise ValueError("custom q must vanish as r -> infinity")
+    def custom_q(cls, alpha, q, sigma):
+        return CustomQ(alpha, q, sigma)
 
     # ------------------------------------------------------------- plumbing
 
@@ -178,127 +155,27 @@ class TemperingSpec:
 
     def q(self, r, j=None):
         """Tempering function q(r, s_j) of atom j; r may be an array."""
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0.0) or np.any(~np.isfinite(r_arr)):
-            raise ValueError("r must be positive and finite")
-        if self.family == NO_TEMPERING:
-            out = np.full(r_arr.shape, self.alpha)
-        elif self.family == CONDITIONALLY_EXPONENTIAL:
-            lam = self.rate(j)
-            out = (self.alpha + lam * r_arr) * np.exp(-lam * r_arr)
-        elif self.family == EXPONENTIAL_Q:
-            lam = self.rate(j)
-            out = self.alpha * np.exp(-lam * r_arr)
-        else:
-            sv = self.sigma.directions[self._index(j)]
-            out = np.asarray([float(self._q_callable(float(ri), sv)) for ri in np.atleast_1d(r_arr)])
-            out = out.reshape(r_arr.shape)
-        return float(out) if out.ndim == 0 else out
+        return _unwrap(self._q(_positive(r, "r"), j))
 
     def pi(self, u, j=None):
         """Survival function pi(u, s_j) = P(T > u) of atom j; u may be an array."""
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr <= 0.0) or np.any(~np.isfinite(u_arr)):
-            raise ValueError("u must be positive and finite")
-        if self.family == CUSTOM_Q:
-            sv = self.sigma.directions[self._index(j)]
-            out = np.asarray([self._pi_custom(float(ui), sv) for ui in np.atleast_1d(u_arr)])
-            out = out.reshape(u_arr.shape)
-        else:
-            out = self._pi_rate(u_arr, self.rate(j))
-        return float(out) if out.ndim == 0 else out
+        return _unwrap(self._pi(_positive(u, "u"), j))
 
-    def _pi_rate(self, u, lam):
-        if self.family == NO_TEMPERING:
-            return np.ones_like(u)
-        if self.family == CONDITIONALLY_EXPONENTIAL:
-            return np.exp(-lam * u)
-        if self.family == EXPONENTIAL_Q:
-            a = self.alpha
-            x = lam * u
-            val = a * np.exp(a * np.log(x)) * gammainc_upper(-a, x)
-            return np.minimum(val, 1.0)
-        raise AssertionError("rate-based pi called for custom family")
+    def cumulative_q(self, r, j=None):
+        """Q(r) = integral_0^r q(x, s_j) dx, here by quadrature."""
+        return adaptive_quad(lambda x: self.q(x, j), 0.0, r)
 
-    def _pi_custom(self, u, sv):
-        # pi(u) = (1/alpha) * int_0^1 q(u * z^(-1/alpha), s) dz; the power
-        # substitution absorbs the r^(-alpha-1) weight exactly.
-        a = self.alpha
-        val = adaptive_quad(
-            lambda z: float(self._q_callable(u * z ** (-1.0 / a), sv)),
-            0.0, 1.0, self.quadrature,
-        ) / a
-        return min(max(val, 0.0), 1.0)
+    def tail_moment(self, lower, j=None):
+        """integral_lower^inf q(r, s_j) r^-alpha dr, the Lévy measure's radial
+        first moment above ``lower``; here by quadrature."""
+        return integral_to_infinity(lambda r: self.q(r, j) * r ** (-self.alpha), lower)
 
-    def pi_derivative(self, u, j=None):
-        """d pi / du.  Exponential survival differentiates in closed form;
-        the other families use alpha*pi(u)/u - q(u)/u, which is exact."""
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr <= 0.0) or np.any(~np.isfinite(u_arr)):
-            raise ValueError("u must be positive and finite")
-        if self.family == NO_TEMPERING:
-            out = np.zeros_like(u_arr)
-        elif self.family == CONDITIONALLY_EXPONENTIAL:
-            lam = self.rate(j)
-            out = -lam * np.exp(-lam * u_arr)
-        else:
-            out = (self.alpha * self.pi(u_arr, j) - self.q(u_arr, j)) / u_arr
-        return float(out) if out.ndim == 0 else out
-
-    # ------------------------------------------------------------- sampling
-
-    def _t_from_uniform(self, uprime, idx):
-        """Vectorized T draws from uniforms in (0, 1] and atom indices."""
-        uprime = np.asarray(uprime, dtype=float)
-        if self.family == NO_TEMPERING:
-            return np.full(uprime.shape, np.inf)
-        if self.family == CUSTOM_Q:
-            return self._t_from_table(uprime, idx)
-        lam = self.rate(idx)  # a scalar rate stays a float, with no gather
-        if self.family == CONDITIONALLY_EXPONENTIAL:
-            return -np.log(uprime) / lam
-        return self._expq_inverse(uprime, lam)
-
-    def _expq_inverse(self, u, lam):
-        # pi depends on u only through lam*u here, so one unit-rate table in
-        # z = lam*u serves every rate; draws are T = z(u') / lam.  Flat
-        # stretches of pi (the clamp at 1) resolve to their left edge.
-        piv, zv = self._expq_unit_table()
-        return np.interp(u, piv, zv) / lam
-
-    def _expq_unit_table(self):
-        key = ("expq_unit",)
-        if key not in self._tables:
-            z_hi = 1.0
-            while float(self._pi_rate(np.asarray(z_hi), 1.0)) > 1e-12:
-                z_hi *= 2.0
-            grid = np.geomspace(_ROOT_LO, z_hi, 2400)
-            piv = np.minimum.accumulate(self._pi_rate(grid, 1.0))
-            self._tables[key] = (piv[::-1], grid[::-1])
-        return self._tables[key]
-
-    def _t_from_table(self, uprime, idx):
-        # Custom q: tabulate pi per atom of the bound sigma once and invert
-        # by monotone interpolation.
-        out = np.empty_like(uprime)
-        for j in np.unique(idx):
-            table = self._survival_table(int(j))
-            mask = idx == j
-            out[mask] = np.interp(uprime[mask], table[0], table[1])
-        return out
-
-    def _survival_table(self, j):
-        if j not in self._tables:
-            sv = self.sigma.directions[j]
-            u_hi = 1.0
-            while self._pi_custom(u_hi, sv) > 1e-12 and u_hi < 1e18:
-                u_hi *= 2.0
-            grid = np.geomspace(_ROOT_LO, u_hi, 600)
-            piv = np.asarray([self._pi_custom(float(g), sv) for g in grid])
-            piv = np.minimum.accumulate(piv)  # enforce monotone despite quad noise
-            order = np.argsort(piv)
-            self._tables[j] = (piv[order], grid[order])
-        return self._tables[j]
+    def exponent_terms(self, k):
+        """(theta, kappa, coef, times_ic, drift_free, mean_zero) of atoms
+        0..k-1, or None without a closed form: with z = theta - ic, psi is
+        coef (ic if times_ic) expm1(kappa log(z/theta)) + ic * the linear
+        term of the convention."""
+        return None
 
     # ----------------------------------------------------------- regularity
 
@@ -322,3 +199,214 @@ class TemperingSpec:
         bounded = not (sup > 0.0 and sup_small >= sup * (1.0 - 1e-9))
         return RegularityReport(beta=float(beta), sup_value=sup, bounded=bounded,
                                 grid=grid, values=values)
+
+
+class NoTempering(TemperingSpec):
+    """q = alpha: the raw heavy-tailed jump, T = +inf."""
+
+    family = NO_TEMPERING
+
+    def _q(self, r, j):
+        return np.full(r.shape, self.alpha)
+
+    def _pi(self, u, j):
+        return np.ones_like(u)
+
+    def cumulative_q(self, r, j=None):
+        return self.alpha * r
+
+    def tail_moment(self, lower, j=None):
+        a = self.alpha
+        if a <= 1.0:
+            raise ValueError("tail first moment diverges without tempering at alpha <= 1")
+        return a * lower ** (1.0 - a) / (a - 1.0)
+
+    def _t_from_uniform(self, uprime, idx):
+        return np.full(np.shape(uprime), np.inf)
+
+
+class RateFamily(TemperingSpec):
+    """A family with one tempering rate lam per atom, or one for all atoms.
+
+    ``rates`` may be a positive scalar (used for every atom) or a sequence
+    aligned with the atoms of ``sigma``, which the spec then binds.
+    """
+
+    def __init__(self, alpha, rates, sigma=None):
+        super().__init__(alpha)
+        if rates is None:
+            raise ValueError(f"{self.family} needs a tempering rate")
+        if np.isscalar(rates):
+            if not (np.isfinite(rates) and rates > 0):
+                raise ValueError("tempering rate must be positive")
+            self._rates = float(rates)
+        else:
+            arr = np.asarray(rates, dtype=float).ravel()
+            if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
+                raise ValueError("tempering rates must be positive")
+            if not isinstance(sigma, SpectralMeasure):
+                raise ValueError("per-atom rates need the spectral measure")
+            if arr.shape[0] != len(sigma):
+                raise ValueError("need one rate per atom")
+            self._rates = arr
+            self.sigma = sigma
+
+
+class ConditionallyExponential(RateFamily):
+    """q = (alpha + lam r) e^(-lam r), so pi = e^(-lam u) and T = E/lam."""
+
+    family = CONDITIONALLY_EXPONENTIAL
+
+    def _q(self, r, j):
+        lam = self.rate(j)
+        return (self.alpha + lam * r) * np.exp(-lam * r)
+
+    def _pi(self, u, j):
+        return np.exp(-self.rate(j) * u)
+
+    def cumulative_q(self, r, j=None):
+        lam = self.rate(j)
+        x = lam * r
+        return (-(self.alpha + 1.0) * np.expm1(-x) - x * np.exp(-x)) / lam
+
+    def tail_moment(self, lower, j=None):
+        a, lam = self.alpha, self.rate(j)
+        return (lower ** (1.0 - a) * np.exp(-lam * lower)
+                + lam ** (a - 1.0) * gammainc_upper(1.0 - a, lam * lower))
+
+    def exponent_terms(self, k):
+        # nu(dr) = -d(r^-alpha e^(-theta r)): one integration by parts gives
+        # ic Gamma(1-alpha) z^(alpha-1); mean_zero takes out its slope in ic
+        # at c = 0, which is coef.
+        theta = np.array([self.rate(j) for j in range(k)])
+        coef = math.gamma(1.0 - self.alpha) * theta ** (self.alpha - 1.0)
+        return theta, self.alpha - 1.0, coef, True, coef, np.zeros_like(theta)
+
+    def _t_from_uniform(self, uprime, idx):
+        return -np.log(uprime) / self.rate(idx)  # a scalar rate stays a float
+
+
+class ExponentialQ(RateFamily):
+    """q = alpha e^(-lam r), the classical tempered stable law."""
+
+    family = EXPONENTIAL_Q
+
+    def _q(self, r, j):
+        return self.alpha * np.exp(-self.rate(j) * r)
+
+    def _pi(self, u, j):
+        return self._unit_pi(self.rate(j) * u)
+
+    def _unit_pi(self, x):
+        # pi at unit rate, alpha x^alpha Gamma(-alpha, x), capped at 1
+        a = self.alpha
+        return np.minimum(a * np.exp(a * np.log(x)) * gammainc_upper(-a, x), 1.0)
+
+    def cumulative_q(self, r, j=None):
+        lam = self.rate(j)
+        return -self.alpha * np.expm1(-lam * r) / lam
+
+    def tail_moment(self, lower, j=None):
+        a, lam = self.alpha, self.rate(j)
+        return a * lam ** (a - 1.0) * gammainc_upper(1.0 - a, lam * lower)
+
+    def exponent_terms(self, k):
+        # alpha Gamma(-alpha) [z^alpha - theta^alpha], less
+        # ic alpha theta^(alpha-1) Gamma(1-alpha) under mean_zero
+        a = self.alpha
+        theta = np.array([self.rate(j) for j in range(k)])
+        mean_zero = -a * theta ** (a - 1.0) * math.gamma(1.0 - a)
+        return (theta, a, a * math.gamma(-a) * theta ** a, False,
+                np.zeros_like(theta), mean_zero)
+
+    def _t_from_uniform(self, uprime, idx):
+        # pi depends on u only through lam*u here, so one unit-rate table in
+        # z = lam*u serves every rate; draws are T = z(u') / lam.  Flat
+        # stretches of pi (the clamp at 1) resolve to their left edge.
+        piv, zv = self._unit_table
+        return np.interp(uprime, piv, zv) / self.rate(idx)
+
+    @cached_property
+    def _unit_table(self):
+        z_hi = 1.0
+        while float(self._unit_pi(np.asarray(z_hi))) > 1e-12:
+            z_hi *= 2.0
+        grid = np.geomspace(_ROOT_LO, z_hi, 2400)
+        piv = np.minimum.accumulate(self._unit_pi(grid))
+        return piv[::-1], grid[::-1]
+
+
+class CustomQ(TemperingSpec):
+    """User-supplied q(r, s), bound to ``sigma`` and validated by sampling.
+
+    pi, Q and the tail moment are quadratures, and T is drawn from a table
+    of pi per atom.
+    """
+
+    family = CUSTOM_Q
+    pi_by_quadrature = True
+
+    def __init__(self, alpha, q, sigma):
+        super().__init__(alpha)
+        if q is None or not callable(q):
+            raise ValueError("custom_q needs a callable q(r, s)")
+        if not isinstance(sigma, SpectralMeasure):
+            raise ValueError("custom_q needs the spectral measure for validation")
+        self.sigma = sigma
+        self._q_callable = q
+        self._tables = {}
+        for s in sigma.directions:
+            vals = np.asarray([float(q(r, s)) for r in _CHECK_GRID])
+            if np.any(~np.isfinite(vals)) or np.any(vals < -1e-12):
+                raise ValueError("custom q must be finite and nonnegative")
+            if np.any(np.diff(vals) > 1e-12 * self.alpha):
+                raise ValueError("custom q must be non-increasing in r")
+            if abs(vals[0] - self.alpha) > _LIMIT_SLACK * self.alpha:
+                raise ValueError("custom q must approach alpha as r -> 0")
+            if vals[-1] > 1e-6 * self.alpha:
+                raise ValueError("custom q must vanish as r -> infinity")
+
+    def _q(self, r, j):
+        sv = self.sigma.directions[self._index(j)]
+        return _pointwise(lambda x: float(self._q_callable(x, sv)), r)
+
+    def _pi(self, u, j):
+        sv = self.sigma.directions[self._index(j)]
+        return _pointwise(lambda x: self._pi_custom(x, sv), u)
+
+    def _pi_custom(self, u, sv):
+        # pi(u) = (1/alpha) * int_0^1 q(u * z^(-1/alpha), s) dz; the power
+        # substitution absorbs the r^(-alpha-1) weight exactly.
+        a = self.alpha
+        val = adaptive_quad(
+            lambda z: float(self._q_callable(u * z ** (-1.0 / a), sv)), 0.0, 1.0,
+        ) / a
+        return min(max(val, 0.0), 1.0)
+
+    def _t_from_uniform(self, uprime, idx):
+        # Tabulate pi per atom of the bound sigma once and invert by
+        # monotone interpolation.
+        uprime = np.asarray(uprime, dtype=float)
+        out = np.empty_like(uprime)
+        for j in np.unique(idx):
+            table = self._survival_table(int(j))
+            mask = idx == j
+            out[mask] = np.interp(uprime[mask], table[0], table[1])
+        return out
+
+    def _survival_table(self, j):
+        if j not in self._tables:
+            sv = self.sigma.directions[j]
+            u_hi = 1.0
+            while self._pi_custom(u_hi, sv) > 1e-12 and u_hi < 1e18:
+                u_hi *= 2.0
+            grid = np.geomspace(_ROOT_LO, u_hi, 600)
+            piv = np.asarray([self._pi_custom(float(g), sv) for g in grid])
+            piv = np.minimum.accumulate(piv)  # enforce monotone despite quad noise
+            order = np.argsort(piv)
+            self._tables[j] = (piv[order], grid[order])
+        return self._tables[j]
+
+
+FAMILIES = {cls.family: cls for cls in
+            (NoTempering, ConditionallyExponential, ExponentialQ, CustomQ)}

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -31,7 +32,8 @@ from temperedwalk.analytics import (
     uan_profile,
     vague_convergence_table,
 )
-from temperedwalk.numerics import DEFAULT_QUADRATURE
+from temperedwalk.numerics import adaptive_quad
+from temperedwalk.tempering import FAMILIES
 
 ONE = SpectralMeasure([[1.0]], [1.0])
 TWO = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])
@@ -129,7 +131,7 @@ def test_eval_grid_matches_scalar_eval():
     grid = np.linspace(-6.0, 6.0, 25).reshape(-1, 1)
     for family in RATE_FAMILIES:
         for alpha in (0.6, 1.5):
-            tempering = TemperingSpec(alpha, family, rates=[0.5, 2.0], sigma=TWO)
+            tempering = FAMILIES[family](alpha, [0.5, 2.0], TWO)
             for convention in _legal_conventions(alpha):
                 ex = LevyExponent(alpha, TWO, tempering, convention)
                 vals = ex.eval_grid(grid)
@@ -147,9 +149,7 @@ def _expq_as_custom(alpha, theta, sigma):
 
 def _quadrature_psi(alpha, sigma, tempering, convention, c):
     # The module-private quadrature path, reached without a public switch.
-    atoms = analytics._QuadratureAtoms(alpha, sigma, tempering, convention,
-                                       DEFAULT_QUADRATURE)
-    return atoms.atom(0, c)
+    return analytics._QuadratureAtoms(alpha, tempering, convention).atom(0, c)
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,7 +162,7 @@ def _quadrature_psi(alpha, sigma, tempering, convention, c):
 )
 def test_closed_forms_match_quadrature(family, alpha, theta, c, pick):
     convention = _legal_conventions(alpha)[pick]
-    tempering = TemperingSpec(alpha, family, rates=theta, sigma=ONE)
+    tempering = FAMILIES[family](alpha, theta, ONE)
     ex = LevyExponent(alpha, ONE, tempering, convention)
     assert ex.method == "closed_form"
     got = ex.eval(np.array([c]))
@@ -185,10 +185,16 @@ def test_closed_forms_run_no_quadrature(monkeypatch):
     grid = np.linspace(-5.0, 5.0, 11).reshape(-1, 1)
     for family in RATE_FAMILIES:
         for alpha in (0.7, 1.5):
-            tempering = TemperingSpec(alpha, family, rates=[1.0, 2.0], sigma=TWO)
+            tempering = FAMILIES[family](alpha, [1.0, 2.0], TWO)
             for convention in _legal_conventions(alpha):
                 ex = LevyExponent(alpha, TWO, tempering, convention)
                 assert np.all(np.isfinite(ex.eval_grid(grid)))
+            assert levy_mass(alpha, TWO, tempering, 1e-3, 1e3) > 0.0
+            assert np.all(np.isfinite(tail_first_moment(alpha, TWO, tempering)))
+    # without tempering: masses at any alpha, the tail moment for alpha > 1
+    for alpha in (0.7, 1.5):
+        assert levy_mass(alpha, TWO, TemperingSpec.no_tempering(alpha), 0.5, np.inf) > 0.0
+    assert tail_first_moment(1.5, TWO, TemperingSpec.no_tempering(1.5))[0] > 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.0005, 1.5])
@@ -292,6 +298,52 @@ def test_shift_theta_consistency():
     assert abs(-theta[0] + b[0] - m[0]) <= 1e-7
 
 
+@pytest.mark.parametrize("alpha,rate", [(1.5, 1.0), (1.5, 2.0), (1.2, 0.5)])
+def test_shift_theta_exponential_q(alpha, rate):
+    """The same identity for exponential_q, whose int_0^r pi once took a
+    quadrature of pi inside the shift's own quadrature (over a minute at
+    rate 1, QuadratureError at rate 2)."""
+    eq = TemperingSpec.exponential_q(alpha, rate, ONE)
+    theta = shift_theta(alpha, ONE, eq)[0]
+    b = tail_first_moment(alpha, ONE, eq)[0]
+    m = tempered_mean(alpha, ONE, eq)[0]
+    assert abs(-theta + b - m) <= 1e-8
+
+
+def _ce_tail_moment(alpha, theta, lower):
+    return (lower ** (1 - alpha) * mpmath.exp(-theta * lower)
+            + theta ** (alpha - 1) * mpmath.gammainc(1 - alpha, theta * lower))
+
+
+def _eq_tail_moment(alpha, theta, lower):
+    return alpha * theta ** (alpha - 1) * mpmath.gammainc(1 - alpha, theta * lower)
+
+
+def test_tail_moment_matches_mpmath():
+    """int_L^inf q r^-alpha dr of the rate families against mpmath's gammainc,
+    and those closed forms against mpmath's own quadrature at rate 1."""
+    with mpmath.workdps(30):
+        for alpha in (0.3, 0.7, 0.999, 1.0005, 1.5, 1.9):
+            for theta in (0.2, 1.0, 4.0):
+                ce = TemperingSpec.conditionally_exponential(alpha, theta)
+                eq = TemperingSpec.exponential_q(alpha, theta)
+                for lower in (0.5, 1.0, 3.0, 1e3):
+                    if theta * lower >= 700.0:
+                        continue  # the exact value underflows a double
+                    a, t, el = (mpmath.mpf(x) for x in (alpha, theta, lower))
+                    want_ce = _ce_tail_moment(a, t, el)
+                    want_eq = _eq_tail_moment(a, t, el)
+                    assert ce.tail_moment(lower) == pytest.approx(float(want_ce), rel=1e-11)
+                    assert eq.tail_moment(lower) == pytest.approx(float(want_eq), rel=1e-11)
+                    if theta == 1.0 and lower < 10.0:
+                        quad_ce = mpmath.quad(
+                            lambda r: (a + r) * mpmath.exp(-r) * r ** -a, [el, mpmath.inf])
+                        quad_eq = mpmath.quad(
+                            lambda r: a * mpmath.exp(-r) * r ** -a, [el, mpmath.inf])
+                        assert abs(quad_ce / want_ce - 1) <= 1e-20
+                        assert abs(quad_eq / want_eq - 1) <= 1e-20
+
+
 # ------------------------------------------------------------------ levy mass
 
 
@@ -302,12 +354,34 @@ def test_levy_mass_closed_form_no_tempering():
 
 
 def test_levy_mass_tail_equals_survival():
-    # integral of q r^{-alpha-1} over [u, inf) must equal u^{-alpha} pi(u)
-    ce = TemperingSpec.conditionally_exponential(0.7, 2.0, TWO)
-    for u in (0.5, 1.0, 3.0):
-        got = levy_mass(0.7, TWO, ce, u, np.inf)
-        want = u ** -0.7 * (0.7 * ce.pi(u, 0) + 0.3 * ce.pi(u, 1))
-        assert got == pytest.approx(want, rel=1e-9)
+    # levy_mass takes u^{-alpha} pi(u) for the tail above u; the oracle is
+    # the integral of q r^{-alpha-1} over [u, inf) by direct quadrature
+    families = [TemperingSpec.no_tempering(0.7),
+                TemperingSpec.conditionally_exponential(0.7, 2.0, TWO),
+                TemperingSpec.exponential_q(0.7, [2.0, 0.5], TWO),
+                _expq_as_custom(0.7, 2.0, TWO)]
+    for tempering in families:
+        for u in (0.5, 1.0, 3.0):
+            got = levy_mass(0.7, TWO, tempering, u, np.inf)
+            want = sum(
+                w * adaptive_quad(lambda r: tempering.q(r, j) * r ** -1.7, u, np.inf)
+                for j, w in enumerate(TWO.weights))
+            assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+def test_levy_mass_over_six_decades(alpha):
+    """The sector [1e-3, 1e3] at rate 2 once raised QuadratureError for every
+    tempered family; its mass is exact in mpmath."""
+    with mpmath.workdps(30):
+        a, lo, hi = mpmath.mpf(alpha), mpmath.mpf("1e-3"), mpmath.mpf(1000)
+        ce_want = float(lo ** -a * mpmath.exp(-2 * lo) - hi ** -a * mpmath.exp(-2 * hi))
+        eq_want = float(a * 2 ** a * mpmath.gammainc(-a, 2 * lo, 2 * hi))
+    cases = [(TemperingSpec.conditionally_exponential(alpha, 2.0), ce_want),
+             (TemperingSpec.exponential_q(alpha, 2.0), eq_want),
+             (_expq_as_custom(alpha, 2.0, ONE), eq_want)]
+    for tempering, want in cases:
+        assert levy_mass(alpha, ONE, tempering, 1e-3, 1e3) == pytest.approx(want, rel=1e-9)
 
 
 def test_levy_mass_additive():
@@ -318,6 +392,15 @@ def test_levy_mass_additive():
     only0 = levy_mass(1.5, TWO, eq, 0.5, 4.0, atoms=(0,))
     only1 = levy_mass(1.5, TWO, eq, 0.5, 4.0, atoms=(1,))
     assert whole == pytest.approx(only0 + only1, rel=1e-12)
+
+
+def test_levy_mass_rejects_atoms_outside_sigma():
+    # -1 once named the last atom here while the sector's hit count matched
+    # no atom at all
+    eq = TemperingSpec.exponential_q(1.5, 1.0, TWO)
+    for atoms in [(2,), (-1,)]:
+        with pytest.raises(ValueError, match="atoms"):
+            levy_mass(1.5, TWO, eq, 0.5, 4.0, atoms=atoms)
 
 
 # -------------------------------------------------------------- empirical CF

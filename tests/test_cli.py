@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -329,10 +330,10 @@ def test_bad_threads_value(tmp_path, capsys):
 def _console_command():
     """The ``temperedwalk`` console script declared in pyproject.toml.
 
-    The installed script is used when it is on PATH.  Otherwise the declared
-    ``module:function`` runs under this interpreter, the way the generated
-    wrapper calls it.  Either way the child imports the package from the
-    same place this test did.
+    The installed script is used when it is on PATH.  Otherwise the package
+    runs as ``python -m temperedwalk``, whose ``__main__`` must call the
+    declared ``module:function``.  Either way the child imports the package
+    from the same place this test did.
     """
     try:
         import tomllib
@@ -347,9 +348,9 @@ def _console_command():
         command = [installed]
     else:
         module, func = target.split(":")
-        command = [sys.executable, "-c",
-                   f"import sys; from {module} import {func}; "
-                   f"sys.argv[0] = 'temperedwalk'; sys.exit({func}())"]
+        declared = getattr(importlib.import_module(module), func)
+        assert importlib.import_module("temperedwalk.__main__").main is declared
+        command = [sys.executable, "-m", "temperedwalk"]
     package_root = str(Path(temperedwalk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -376,13 +377,8 @@ def test_console_entry_point(tmp_path):
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
-@pytest.mark.parametrize("command, section, value", [
-    ("simulate", "plan", 5),
-    ("cf-check", "cf_check", {"grid": "abc"}),
-    ("simulate", "tempering", 5),
-    ("diagnose", "diagnostics", [5]),
-], ids=["plan", "cf_check.grid", "tempering", "diagnostics_entry"])
-def test_section_that_is_not_an_object_is_a_config_error(tmp_path, command, section, value):
+def _assert_demo_config_error(tmp_path, command, section, value):
+    # The console entry point on configs/demo.json with one section replaced.
     cfg = json.loads(DEMO.read_text())
     cfg[section] = value
     argv, env = _console_command()
@@ -394,6 +390,41 @@ def test_section_that_is_not_an_object_is_a_config_error(tmp_path, command, sect
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["code"] == "invalid_config"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "plan", 5),
+    ("cf-check", "cf_check", {"grid": "abc"}),
+    ("simulate", "tempering", 5),
+    ("diagnose", "diagnostics", [5]),
+], ids=["plan", "cf_check.grid", "tempering", "diagnostics_entry"])
+def test_section_that_is_not_an_object_is_a_config_error(tmp_path, command, section, value):
+    _assert_demo_config_error(tmp_path, command, section, value)
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("cf-check", "cf_check", {"grid": {"lo": [1]}}),
+    ("diagnose", "diagnostics", [{"type": "vague_convergence", "sectors": 5}]),
+], ids=["cf_check.grid.lo", "vague_convergence.sectors"])
+def test_value_of_the_wrong_type_is_a_config_error(tmp_path, command, section, value):
+    _assert_demo_config_error(tmp_path, command, section, value)
+
+
+CENTERED_DEMO = DEMO.with_name("centered_demo.json")
+
+
+def test_diagnose_sector_over_six_decades(tmp_path, capsys):
+    """The sector [1e-3, 1e3] once ended in a numeric error (exit 3): its
+    Lévy mass was a direct quadrature that did not converge."""
+    cfg = json.loads(CENTERED_DEMO.read_text())
+    cfg["diagnostics"].append({"type": "vague_convergence", "n": 1000, "draws": 200000,
+                               "sectors": [{"r_lo": 0.001, "r_hi": 1000}]})
+    rc = cli.run(["diagnose", "--config", _write(tmp_path, cfg),
+                  "--out", str(tmp_path / "out")])
+    assert rc in (0, 1), capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    vague = [c for c in report["checks"] if c["test"] == "vague_convergence"]
+    assert len(vague) == 1 and vague[0]["parameters"]["target"] > 0.0
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):

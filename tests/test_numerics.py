@@ -4,7 +4,6 @@ import pytest
 from temperedwalk.analytics import _cexpm1, _sin_m1
 from temperedwalk.numerics import (
     QuadratureError,
-    QuadratureSettings,
     adaptive_quad,
     gammainc_upper,
 )
@@ -79,13 +78,6 @@ def test_quadrature_error_carries_estimate():
     err = QuadratureError("boom", estimate=1.25)
     assert err.estimate == 1.25
     assert isinstance(err, ArithmeticError)
-
-
-def test_quadrature_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(max_subdivisions=3)
 
 
 # The complex-exponential kernels below live in analytics, next to the

@@ -25,6 +25,16 @@ def _rng(seed=0, stream=0):
         np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+def _fd_pi_derivative(spec, u, j=0):
+    """Richardson-extrapolated central difference of pi at u."""
+    h = 1e-4 * u
+
+    def diff(hh):
+        return (spec.pi(u + hh, j) - spec.pi(u - hh, j)) / (2.0 * hh)
+
+    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+
+
 def _families():
     yield TemperingSpec.no_tempering(1.2)
     yield TemperingSpec.conditionally_exponential(0.7, 1.0, ONE)
@@ -61,7 +71,7 @@ def test_survival_identity_on_log_grid():
         s = 0
         for r in grid:
             r = float(r)
-            lhs = spec.alpha * spec.pi(r, s) - r * spec.pi_derivative(r, s)
+            lhs = spec.alpha * spec.pi(r, s) - r * _fd_pi_derivative(spec, r, s)
             assert abs(lhs - spec.q(r, s)) <= 1e-6 * spec.alpha
 
 
@@ -76,7 +86,6 @@ def test_conditionally_exponential_closed_forms():
     for u in (0.01, 0.5, 3.0):
         assert spec.pi(u, 0) == pytest.approx(math.exp(-2.0 * u), rel=1e-14)
         assert spec.q(u, 0) == pytest.approx((1.5 + 2.0 * u) * math.exp(-2.0 * u), rel=1e-14)
-        assert spec.pi_derivative(u, 0) == pytest.approx(-2.0 * math.exp(-2.0 * u), rel=1e-14)
 
 
 def test_custom_q_pi_matches_builtin():
@@ -89,22 +98,17 @@ def test_custom_q_pi_matches_builtin():
 
 
 def test_pi_derivative_against_finite_differences():
-    """Richardson-extrapolated central differences of pi, 20 log points."""
-    specs = [
-        TemperingSpec.conditionally_exponential(0.7, 2.0, ONE),
-        TemperingSpec.exponential_q(1.5, 1.0, ONE),
-    ]
-    for spec in specs:
-        for u in np.geomspace(1e-2, 10.0, 20):
-            u = float(u)
-            h = 1e-4 * u
-
-            def diff(hh):
-                return (spec.pi(u + hh, 0) - spec.pi(u - hh, 0)) / (2.0 * hh)
-
-            richardson = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-            got = spec.pi_derivative(u, 0)
-            assert got == pytest.approx(richardson, rel=1e-6)
+    """Richardson-extrapolated central differences of pi, 20 log points,
+    against pi' = -lam e^(-lam u) (conditionally exponential) and
+    pi' = (alpha pi - q)/u (exponential_q)."""
+    ce = TemperingSpec.conditionally_exponential(0.7, 2.0, ONE)
+    eq = TemperingSpec.exponential_q(1.5, 1.0, ONE)
+    for u in np.geomspace(1e-2, 10.0, 20):
+        u = float(u)
+        want = -2.0 * math.exp(-2.0 * u)
+        assert _fd_pi_derivative(ce, u) == pytest.approx(want, rel=1e-6)
+        want = (1.5 * eq.pi(u, 0) - eq.q(u, 0)) / u
+        assert _fd_pi_derivative(eq, u) == pytest.approx(want, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,7 +119,7 @@ def test_pi_derivative_against_finite_differences():
 )
 def test_survival_identity_property(alpha, lam, u):
     spec = TemperingSpec.conditionally_exponential(alpha, lam, ONE)
-    lhs = alpha * spec.pi(u, 0) - u * spec.pi_derivative(u, 0)
+    lhs = alpha * spec.pi(u, 0) + u * lam * math.exp(-lam * u)  # pi' = -lam e^(-lam u)
     assert abs(lhs - spec.q(u, 0)) <= 1e-9 * alpha
 
 
