@@ -572,7 +572,9 @@ def density_1d(exponent, drift, x_grid):
     if abs(x[0] + x[-1]) > 1e-9 * max(1.0, abs(x[-1])):
         raise ValueError("x_grid must be symmetric about zero")
 
-    drift_v = 0.0 if drift is None else float(np.asarray(drift, dtype=float).ravel()[0])
+    drift_v = np.asarray(0.0 if drift is None else drift, dtype=float).ravel()
+    if drift_v.size != 1:
+        raise ValueError("density drift must hold exactly one value")
 
     if isinstance(exponent, LevyExponent) and exponent.dimension != 1:
         raise ValueError("density inversion is 1-d only")
@@ -600,7 +602,7 @@ def density_1d(exponent, drift, x_grid):
     if m > _MAX_WINDOW_POINTS:
         raise QuadratureError("inversion window too wide for the grid extent")
     lam = np.linspace(0.0, window, m)
-    phi = np.exp(psi(lam) + 1j * lam * drift_v)
+    phi = np.exp(psi(lam) + 1j * lam * drift_v[0])
     # One-sided integral; the lambda < 0 half is the conjugate mirror.
     kernel = np.exp(-1j * np.outer(x, lam)) * phi[None, :]
     dens = np.trapezoid(kernel.real, lam, axis=1) / math.pi

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 a diagnostic check failed, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import traceback
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, engine
+from . import __version__, analytics, engine
 from .jumps import EXACT_PARETO, JumpModel, MixedScalePareto
 from .spectral import SpectralMeasure
 from .tempering import FAMILIES, NoTempering, RateFamily
@@ -47,17 +48,20 @@ def _fail(code, message):
 
 
 def _load_config(path):
+    """The config object, and the provenance keys of every meta/report.json."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         _fail("config_unreadable", f"cannot read config file: {exc}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(data.decode())
     except json.JSONDecodeError as exc:
         _fail("invalid_config", f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         _fail("invalid_config", "config root must be an object")
-    return cfg
+    stamp = {"rng_layout": engine.RNG_LAYOUT, "version": __version__,
+             "config_sha256": hashlib.sha256(data).hexdigest()}
+    return cfg, stamp
 
 
 def _need(mapping, key, where):
@@ -251,24 +255,31 @@ def _check(test, parameters, statistic, threshold, passed, **extra):
     return rec
 
 
+def _write_report(out, stamp, checks):
+    """Write report.json; exit code 0 if every check passed, else 1."""
+    passed = all(c["pass"] for c in checks)
+    _write_json(out / "report.json", {"checks": checks, "pass": passed, **stamp})
+    return 0 if passed else 1
+
+
 # ------------------------------------------------------------ subcommands
 
 
-def _cmd_simulate(cfg, out, seed, threads):
+def _cmd_simulate(cfg, out, seed, threads, stamp):
     _, model, tempering, plan = _build_all(cfg, seed)
     batch = engine.simulate_rowsum(plan, model, tempering, threads=threads)
     _write_samples(out / "samples.csv", batch)
-    _write_json(out / "meta.json", _meta_dict(batch, plan, threads))
+    _write_json(out / "meta.json", {**_meta_dict(batch, plan, threads), **stamp})
     return 0
 
 
-def _cmd_paths(cfg, out, seed, threads):
+def _cmd_paths(cfg, out, seed, threads, stamp):
     _, model, tempering, plan = _build_all(cfg, seed)
     if plan.time_grid is None:
         _fail("missing_time_grid", "paths mode needs plan.time_grid")
     batches = engine.simulate_paths(plan, model, tempering, threads=threads)
     _write_paths(out / "paths.csv", batches)
-    _write_json(out / "meta.json", _meta_dict(batches[0], plan, threads))
+    _write_json(out / "meta.json", {**_meta_dict(batches[0], plan, threads), **stamp})
     return 0
 
 
@@ -282,7 +293,7 @@ def _read_samples(path, dimension):
     return raw[:, 1:]
 
 
-def _cmd_cf_check(cfg, out, seed, threads):
+def _cmd_cf_check(cfg, out, seed, threads, stamp):
     sigma, model, tempering, plan = _build_all(cfg, seed)
     cc = _object(cfg.get("cf_check", {}), "cf_check")
     convention = cc.get("convention", analytics.TRUNCATED)
@@ -316,18 +327,10 @@ def _cmd_cf_check(cfg, out, seed, threads):
         cf = analytics.empirical_cf(samples, grid)
         dist = analytics.cf_distance(cf, exponent, drift=drift)
     _write_cf_table(out / "cf_table.csv", cf, dist)
-    passed = dist.sup_abs <= threshold
-    report = {
-        "checks": [
-            _check("cf_check", {"convention": convention, "exponent": exponent.method,
-                                "n": plan.n, "replicates": plan.replicates,
-                                "seed": plan.seed},
-                   dist.sup_abs, threshold, passed)
-        ],
-        "pass": passed,
-    }
-    _write_json(out / "report.json", report)
-    return 0 if passed else 1
+    return _write_report(out, stamp, [_check(
+        "cf_check", {"convention": convention, "exponent": exponent.method,
+                     "n": plan.n, "replicates": plan.replicates, "seed": plan.seed},
+        dist.sup_abs, threshold, dist.sup_abs <= threshold)])
 
 
 def _diag_vague(cfg_entry, model, tempering, plan):
@@ -386,7 +389,7 @@ def _diag_regularity(cfg_entry, model, tempering):
     )]
 
 
-def _cmd_diagnose(cfg, out, seed, threads):
+def _cmd_diagnose(cfg, out, seed, threads, stamp):
     _, model, tempering, plan = _build_all(cfg, seed)
     checks = []
     entries = cfg.get("diagnostics", [])
@@ -402,12 +405,10 @@ def _cmd_diagnose(cfg, out, seed, threads):
             checks.extend(_diag_regularity(entry, model, tempering))
         else:
             _fail("invalid_config", f"unknown diagnostic type {kind!r}")
-    passed = all(c["pass"] for c in checks)
-    _write_json(out / "report.json", {"checks": checks, "pass": passed})
-    return 0 if passed else 1
+    return _write_report(out, stamp, checks)
 
 
-def _cmd_density(cfg, out, seed, threads):
+def _cmd_density(cfg, out, seed, threads, stamp):
     sigma, model, tempering, plan = _build_all(cfg, seed)
     if sigma.dimension != 1:
         _fail("dimension_unsupported", "density inversion is 1-d only")
@@ -429,18 +430,10 @@ def _cmd_density(cfg, out, seed, threads):
     for xi, di in zip(result.x, result.density):
         lines.append(f"{_fmt(xi)},{_fmt(di)}")
     (out / "density.csv").write_text("\n".join(lines) + "\n")
-    passed = result.mass_defect <= threshold
-    report = {
-        "checks": [
-            _check("density_mass", {"convention": convention, "exponent": exponent.method,
-                                    "window": result.window,
-                                    "clipped_mass": result.clipped_mass},
-                   result.mass_defect, threshold, passed)
-        ],
-        "pass": passed,
-    }
-    _write_json(out / "report.json", report)
-    return 0 if passed else 1
+    return _write_report(out, stamp, [_check(
+        "density_mass", {"convention": convention, "exponent": exponent.method,
+                         "window": result.window, "clipped_mass": result.clipped_mass},
+        result.mass_defect, threshold, result.mass_defect <= threshold)])
 
 
 _COMMANDS = {
@@ -479,12 +472,12 @@ def run(argv=None):
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _load_config(args.config)
+        cfg, stamp = _load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.get("outputs", "."))
         out.mkdir(parents=True, exist_ok=True)
         if args.threads < 1:
             _fail("invalid_config", "--threads must be at least 1")
-        return _COMMANDS[args.command](cfg, out, args.seed, args.threads)
+        return _COMMANDS[args.command](cfg, out, args.seed, args.threads, stamp)
     except ConfigError as exc:
         _emit_error(exc.code, str(exc))
         return 2
@@ -512,3 +505,7 @@ def _emit_error(code, message):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,12 @@ block of uniforms from a Philox stream keyed by (s, i), so results are
 byte-identical regardless of how replicates are distributed over workers.
 Auxiliary consumers (Monte Carlo centering, diagnostics) use stream indices
 at 2^63 and above, out of reach of any realistic replicate count.
+
+m jumps take one ``random((2 + spec.t_uniforms, m))`` block, filled row-major:
+row 0 picks the atom, row 1 the raw radius R, rows 2 on the tempering
+variable T.  ``RNG_LAYOUT`` 1 had three rows for every family; 2 gives
+``exponential_q`` and ``custom_q`` a fourth (T = V * U^(1/alpha), V from
+row 2, U from row 3), and leaves the others' draws unchanged.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .numerics import adaptive_quad
 from .tempering import TemperingSpec
 
 __all__ = [
+    "RNG_LAYOUT",
     "WalkPlan",
     "SampleBatch",
     "TruncatedMeanResult",
@@ -49,6 +56,9 @@ CENTER_TRUNCATED_MEAN = "truncated_mean"
 CENTER_JUMP_MEAN = "jump_mean"
 
 _CENTERINGS = (CENTER_NONE, CENTER_TRUNCATED_MEAN, CENTER_JUMP_MEAN)
+
+# Version of the uniform layout of _tempered_jumps (see the module docstring).
+RNG_LAYOUT = 2
 
 # First stream index reserved for non-replicate randomness, and the most
 # jumps an auxiliary consumer draws from it in one block.
@@ -186,16 +196,14 @@ def centering_vector(plan: WalkPlan, model, spec, v):
 # ------------------------------------------------------------ jump source
 
 
-def _tempered_jumps(model, spec, v, u):
-    """Atom indices and tempered radii min(R, v*T) from a (3, m) uniform block.
-
-    Row 0 of ``u`` picks the atom, row 1 the raw radius R and row 2 the
-    tempering variable T of that atom.  Every tempered jump in the package
-    is drawn here.
-    """
+def _tempered_jumps(model, spec, v, gen, m):
+    """Atom indices and tempered radii min(R, v*T) of m jumps drawn from ``gen``,
+    the only draw of jump uniforms: 2 + ``spec.t_uniforms`` rows (see above)."""
+    u = gen.random((2 + spec.t_uniforms, m))
     idx = model.sigma._index_from_uniform(u[0])
     r = model._radius_from_uniform(u[1])
-    t = spec._t_from_uniform(1.0 - u[2], idx)
+    # named, so v * t allocates: in place, it left malloc slower for later calls
+    t = spec._t_from_uniform(u[2:], idx)
     return idx, np.minimum(r, v * t)
 
 
@@ -205,7 +213,7 @@ def _aux_jumps(model, spec, v, draws, seed, stream):
     left = int(draws)
     while left > 0:
         m = min(left, _AUX_CHUNK)
-        yield _tempered_jumps(model, spec, v, gen.random((3, m)))
+        yield _tempered_jumps(model, spec, v, gen, m)
         left -= m
 
 
@@ -237,26 +245,38 @@ def _validate(plan, model, spec):
     spec.check_sigma(model.sigma)
 
 
-def simulate_rowsum(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, threads=1):
-    """Normalized, centered row sums; one row of output per replicate."""
+def _simulate(plan, model, spec, threads, times):
+    """(1/v) S(floor(n t)) - t a_n per replicate and time, from one jump
+    stream per replicate; also v, a_n and the elapsed time."""
     _validate(plan, model, spec)
     started = time.perf_counter()
     v = tempering_threshold(model, plan.n, plan.v_override)
     center = centering_vector(plan, model, spec, v)
     sigma = model.sigma
-    k, d = len(sigma), sigma.dimension
-    out = np.empty((plan.replicates, d))
+    k, directions = len(sigma), sigma.directions
+    cuts = [int(math.floor(plan.n * t)) for t in times]
+    steps = list(enumerate(zip(cuts, [t * center for t in times])))
+    n_jumps = max(max(cuts), 1)
+    out = np.empty((plan.replicates, len(cuts), sigma.dimension))
 
     def worker(rep):
-        u = _generator(plan.seed, rep).random((3, plan.n))
-        idx, rad = _tempered_jumps(model, spec, v, u)
-        out[rep] = _atom_sums(idx, rad, k) @ sigma.directions / v - center
+        idx, rad = _tempered_jumps(model, spec, v, _generator(plan.seed, rep), n_jumps)
+        for ci, (c, shift) in steps:
+            if c == 0:
+                out[rep, ci] = -shift
+            else:
+                out[rep, ci] = _atom_sums(idx[:c], rad[:c], k) @ directions / v - shift
 
     _run_replicates(worker, plan.replicates, threads)
+    return out, v, center, time.perf_counter() - started
+
+
+def simulate_rowsum(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, threads=1):
+    """Normalized, centered row sums; one row of output per replicate."""
+    out, v, center, elapsed = _simulate(plan, model, spec, threads, (1.0,))
     return SampleBatch(
-        values=out, n=plan.n, threshold=v, center=center,
-        centering=plan.centering, seed=plan.seed,
-        elapsed_seconds=time.perf_counter() - started,
+        values=out[:, 0], n=plan.n, threshold=v, center=center,
+        centering=plan.centering, seed=plan.seed, elapsed_seconds=elapsed,
     )
 
 
@@ -265,37 +285,15 @@ def simulate_paths(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, thread
 
     Values at successive grid times within a replicate share one jump
     stream, so each row is a genuine path skeleton.  At t = 1 the output
-    coincides with simulate_rowsum under the same seed.
+    is simulate_rowsum's under the same seed: both are one computation.
     """
     if plan.time_grid is None:
         raise ValueError("paths mode needs a time grid")
-    _validate(plan, model, spec)
-    started = time.perf_counter()
-    v = tempering_threshold(model, plan.n, plan.v_override)
-    center = centering_vector(plan, model, spec, v)
-    sigma = model.sigma
-    k, d = len(sigma), sigma.dimension
-    cuts = [int(math.floor(plan.n * t)) for t in plan.time_grid]
-    n_jumps = max(max(cuts), 1)
-    out = np.empty((plan.replicates, len(cuts), d))
-
-    def worker(rep):
-        u = _generator(plan.seed, rep).random((3, n_jumps))
-        idx, rad = _tempered_jumps(model, spec, v, u)
-        for ci, c in enumerate(cuts):
-            if c == 0:
-                out[rep, ci] = -plan.time_grid[ci] * center
-            else:
-                sums = _atom_sums(idx[:c], rad[:c], k)
-                out[rep, ci] = sums @ sigma.directions / v - plan.time_grid[ci] * center
-
-    _run_replicates(worker, plan.replicates, threads)
-    elapsed = time.perf_counter() - started
+    out, v, center, elapsed = _simulate(plan, model, spec, threads, plan.time_grid)
     return [
         SampleBatch(
             values=out[:, ci].copy(), n=plan.n, threshold=v, center=center,
-            centering=plan.centering, seed=plan.seed, t=plan.time_grid[ci],
-            elapsed_seconds=elapsed,
+            centering=plan.centering, seed=plan.seed, t=t, elapsed_seconds=elapsed,
         )
-        for ci in range(len(cuts))
+        for ci, t in enumerate(plan.time_grid)
     ]

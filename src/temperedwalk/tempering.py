@@ -10,21 +10,28 @@ everything downstream only uses the survival function).  q induces
 which is the tail P(T > u) of the tempering variable T attached to direction
 s.  Tempered jumps keep their direction and have radius min(R, v*T).
 
+T is drawn exactly: for a non-increasing q with q(0+) = alpha, q/alpha is
+the survival function of some V >= 0, and r = u*w gives pi(u) = P(V/W > u)
+with W ~ Pareto(alpha, 1), so T = V * U^(1/alpha) with U uniform (Rosinski,
+SPA 2007; Kawai & Masuda, JCAM 2011).  A sampler reads ``t_uniforms`` rows.
+
 Each family is a subclass of ``TemperingSpec``, listed by name in
 ``FAMILIES``, with its own q, pi, T sampler, Q(r) = int_0^r q and
 tail_moment(L) = int_L^inf q r^-alpha dr (quadrature unless overridden):
 
 * ``NoTempering``  q = alpha, pi = 1, T = +inf.
-* ``ConditionallyExponential``  q = (alpha + lam r) e^(-lam r), pi = e^(-lam u).
-* ``ExponentialQ``  q = alpha e^(-lam r), pi = alpha (lam u)^alpha Gamma(-alpha, lam u).
-* ``CustomQ``  user callable, validated by sampling; pi by quadrature.
+* ``ConditionallyExponential``  q = (alpha + lam r) e^(-lam r), pi = e^(-lam u),
+  T = E/lam (q/alpha exceeds 1 near 0 when alpha < 1: no V).
+* ``ExponentialQ``  q = alpha e^(-lam r), pi = alpha (lam u)^alpha Gamma(-alpha, lam u),
+  V = E/lam.
+* ``CustomQ``  user callable, validated by sampling; pi by quadrature, V from
+  a table of q/alpha.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +58,14 @@ CONDITIONALLY_EXPONENTIAL = "conditionally_exponential"
 EXPONENTIAL_Q = "exponential_q"
 CUSTOM_Q = "custom_q"
 
-# Left edge of the inverse-survival tables.
-_ROOT_LO = 1e-12
-
 # Validation grid for custom tempering callables.  The limit value alpha is
 # only required loosely at the left edge because admissible q may approach it
 # at any power rate.
 _CHECK_GRID = np.geomspace(1e-10, 1e8, 181)
 _LIMIT_SLACK = 0.05
+
+# Points of the per-atom table of q/alpha that custom_q inverts for V.
+_V_TABLE_POINTS = 600
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,7 @@ class TemperingSpec:
 
     family = None  # the family's name, a key of FAMILIES
     pi_by_quadrature = False  # True where every pi value costs a quadrature
+    t_uniforms = 1  # uniform rows per jump that the T sampler reads
 
     def __init__(self, alpha):
         if not 0.0 < alpha < 2.0:
@@ -221,8 +229,8 @@ class NoTempering(TemperingSpec):
             raise ValueError("tail first moment diverges without tempering at alpha <= 1")
         return a * lower ** (1.0 - a) / (a - 1.0)
 
-    def _t_from_uniform(self, uprime, idx):
-        return np.full(np.shape(uprime), np.inf)
+    def _t_from_uniform(self, u, idx):
+        return np.full(idx.shape, np.inf)
 
 
 class RateFamily(TemperingSpec):
@@ -250,6 +258,20 @@ class RateFamily(TemperingSpec):
                 raise ValueError("need one rate per atom")
             self._rates = arr
             self.sigma = sigma
+
+    def _exponential(self, u, idx):
+        # E/lam of atom idx from row 0 of u; a scalar rate stays a float
+        return -np.log(1.0 - u[0]) / self.rate(idx)
+
+
+class _ParetoMixture:
+    """T = V * U^(1/alpha) = V/W, W ~ Pareto(alpha, 1): exact wherever
+    P(V > r) = q(r)/alpha.  Row 0 of u draws V, row 1 draws W."""
+
+    t_uniforms = 2
+
+    def _t_from_uniform(self, u, idx):
+        return self._v_from_uniform(u, idx) * (1.0 - u[1]) ** (1.0 / self.alpha)
 
 
 class ConditionallyExponential(RateFamily):
@@ -282,24 +304,21 @@ class ConditionallyExponential(RateFamily):
         coef = math.gamma(1.0 - self.alpha) * theta ** (self.alpha - 1.0)
         return theta, self.alpha - 1.0, coef, True, coef, np.zeros_like(theta)
 
-    def _t_from_uniform(self, uprime, idx):
-        return -np.log(uprime) / self.rate(idx)  # a scalar rate stays a float
+    _t_from_uniform = RateFamily._exponential
 
 
-class ExponentialQ(RateFamily):
-    """q = alpha e^(-lam r), the classical tempered stable law."""
+class ExponentialQ(_ParetoMixture, RateFamily):
+    """q = alpha e^(-lam r), the classical tempered stable law; V = E/lam."""
 
     family = EXPONENTIAL_Q
+    _v_from_uniform = RateFamily._exponential
 
     def _q(self, r, j):
         return self.alpha * np.exp(-self.rate(j) * r)
 
     def _pi(self, u, j):
-        return self._unit_pi(self.rate(j) * u)
-
-    def _unit_pi(self, x):
-        # pi at unit rate, alpha x^alpha Gamma(-alpha, x), capped at 1
-        a = self.alpha
+        # alpha x^alpha Gamma(-alpha, x) at x = lam u, capped at 1
+        a, x = self.alpha, self.rate(j) * u
         return np.minimum(a * np.exp(a * np.log(x)) * gammainc_upper(-a, x), 1.0)
 
     def cumulative_q(self, r, j=None):
@@ -319,28 +338,13 @@ class ExponentialQ(RateFamily):
         return (theta, a, a * math.gamma(-a) * theta ** a, False,
                 np.zeros_like(theta), mean_zero)
 
-    def _t_from_uniform(self, uprime, idx):
-        # pi depends on u only through lam*u here, so one unit-rate table in
-        # z = lam*u serves every rate; draws are T = z(u') / lam.  Flat
-        # stretches of pi (the clamp at 1) resolve to their left edge.
-        piv, zv = self._unit_table
-        return np.interp(uprime, piv, zv) / self.rate(idx)
 
-    @cached_property
-    def _unit_table(self):
-        z_hi = 1.0
-        while float(self._unit_pi(np.asarray(z_hi))) > 1e-12:
-            z_hi *= 2.0
-        grid = np.geomspace(_ROOT_LO, z_hi, 2400)
-        piv = np.minimum.accumulate(self._unit_pi(grid))
-        return piv[::-1], grid[::-1]
-
-
-class CustomQ(TemperingSpec):
+class CustomQ(_ParetoMixture, TemperingSpec):
     """User-supplied q(r, s), bound to ``sigma`` and validated by sampling.
 
-    pi, Q and the tail moment are quadratures, and T is drawn from a table
-    of pi per atom.
+    pi, Q and the tail moment are quadratures.  V, whose survival function
+    is q/alpha, is drawn by inverting a monotone table of q per atom, built
+    from calls to q alone.
     """
 
     family = CUSTOM_Q
@@ -354,7 +358,6 @@ class CustomQ(TemperingSpec):
             raise ValueError("custom_q needs the spectral measure for validation")
         self.sigma = sigma
         self._q_callable = q
-        self._tables = {}
         for s in sigma.directions:
             vals = np.asarray([float(q(r, s)) for r in _CHECK_GRID])
             if np.any(~np.isfinite(vals)) or np.any(vals < -1e-12):
@@ -365,47 +368,44 @@ class CustomQ(TemperingSpec):
                 raise ValueError("custom q must approach alpha as r -> 0")
             if vals[-1] > 1e-6 * self.alpha:
                 raise ValueError("custom q must vanish as r -> infinity")
+        self._v_tables = [self._v_table(s) for s in sigma.directions]
+
+    def _v_table(self, sv):
+        # (q/alpha capped at 1, r) on a log grid up to where q/alpha < 1e-12,
+        # ascending in q/alpha for np.interp.  Monotone despite rounding; a
+        # q(0+) below alpha leaves an atom of V at the grid's left edge.
+        a = self.alpha
+        r_hi = 1.0
+        while self._q_callable(r_hi, sv) > 1e-12 * a and r_hi < 1e18:
+            r_hi *= 2.0
+        grid = np.geomspace(_CHECK_GRID[0], r_hi, _V_TABLE_POINTS)
+        surv = np.minimum.accumulate(
+            np.minimum([float(self._q_callable(r, sv)) / a for r in grid], 1.0))
+        return surv[::-1], grid[::-1]
 
     def _q(self, r, j):
         sv = self.sigma.directions[self._index(j)]
         return _pointwise(lambda x: float(self._q_callable(x, sv)), r)
 
     def _pi(self, u, j):
-        sv = self.sigma.directions[self._index(j)]
-        return _pointwise(lambda x: self._pi_custom(x, sv), u)
-
-    def _pi_custom(self, u, sv):
         # pi(u) = (1/alpha) * int_0^1 q(u * z^(-1/alpha), s) dz; the power
         # substitution absorbs the r^(-alpha-1) weight exactly.
-        a = self.alpha
-        val = adaptive_quad(
-            lambda z: float(self._q_callable(u * z ** (-1.0 / a), sv)), 0.0, 1.0,
-        ) / a
-        return min(max(val, 0.0), 1.0)
+        a, sv = self.alpha, self.sigma.directions[self._index(j)]
 
-    def _t_from_uniform(self, uprime, idx):
-        # Tabulate pi per atom of the bound sigma once and invert by
-        # monotone interpolation.
-        uprime = np.asarray(uprime, dtype=float)
-        out = np.empty_like(uprime)
-        for j in np.unique(idx):
-            table = self._survival_table(int(j))
+        def one(x):
+            val = adaptive_quad(
+                lambda z: float(self._q_callable(x * z ** (-1.0 / a), sv)), 0.0, 1.0,
+            ) / a
+            return min(max(val, 0.0), 1.0)
+
+        return _pointwise(one, u)
+
+    def _v_from_uniform(self, u, idx):
+        out = np.empty_like(u[0])
+        for j, (surv, grid) in enumerate(self._v_tables):
             mask = idx == j
-            out[mask] = np.interp(uprime[mask], table[0], table[1])
+            out[mask] = np.interp(1.0 - u[0][mask], surv, grid)
         return out
-
-    def _survival_table(self, j):
-        if j not in self._tables:
-            sv = self.sigma.directions[j]
-            u_hi = 1.0
-            while self._pi_custom(u_hi, sv) > 1e-12 and u_hi < 1e18:
-                u_hi *= 2.0
-            grid = np.geomspace(_ROOT_LO, u_hi, 600)
-            piv = np.asarray([self._pi_custom(float(g), sv) for g in grid])
-            piv = np.minimum.accumulate(piv)  # enforce monotone despite quad noise
-            order = np.argsort(piv)
-            self._tables[j] = (piv[order], grid[order])
-        return self._tables[j]
 
 
 FAMILIES = {cls.family: cls for cls in

@@ -98,13 +98,13 @@ def test_a1_survival_identity(capsys):
 def test_a2_tempering_sampler_ks(capsys):
     """10^5 draws of the tempering variable match 1 - pi in KS distance for
     each built-in family.  The draws come from the vectorized sampler that
-    the engine's jump source uses, fed one uniform per draw."""
+    the engine's jump source uses, fed its ``t_uniforms`` uniforms per draw."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.Philox(key=np.array([2026, 0], dtype=np.uint64)))
     atoms = np.zeros(100_000, dtype=np.int64)
 
     nt = TemperingSpec.no_tempering(1.2)
-    nodraws = nt._t_from_uniform(1.0 - rng.random(100_000), atoms)
+    nodraws = nt._t_from_uniform(rng.random((nt.t_uniforms, 100_000)), atoms)
     # survival is identically 1: every draw must be the +inf sentinel, which
     # makes the KS distance exactly zero on the positive axis
     ks_nt = 0.0 if np.all(np.isinf(nodraws)) else 1.0
@@ -114,7 +114,7 @@ def test_a2_tempering_sampler_ks(capsys):
         ("cond_exponential", TemperingSpec.conditionally_exponential(0.7, 1.0, ONE)),
         ("exponential_q", TemperingSpec.exponential_q(1.5, 2.0, ONE)),
     ]:
-        draws = spec._t_from_uniform(1.0 - rng.random(100_000), atoms)
+        draws = spec._t_from_uniform(rng.random((spec.t_uniforms, 100_000)), atoms)
         stats_out[name] = stats.kstest(draws, lambda t: 1.0 - spec.pi(t)).statistic
 
     elapsed = time.perf_counter() - t0

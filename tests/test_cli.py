@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -56,6 +57,18 @@ def test_simulate_writes_samples_and_meta(tmp_path):
     assert meta["n"] == 400 and meta["replicates"] == 200
     assert meta["seed"] == 42 and meta["centering"] == "none"
     assert meta["v_n"] > 0 and meta["elapsed_seconds"] >= 0
+
+
+def test_meta_and_report_carry_provenance(tmp_path):
+    """meta.json and report.json name the RNG layout, the package version
+    and the sha256 of the config file's bytes."""
+    config = _write(tmp_path, _cfg(cf_check={"self_test": True, "grid": {"points": 11}}))
+    want = {"rng_layout": 2, "version": temperedwalk.__version__,
+            "config_sha256": hashlib.sha256(Path(config).read_bytes()).hexdigest()}
+    for command, name in (("simulate", "meta.json"), ("cf-check", "report.json")):
+        assert cli.run([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+        payload = json.loads((tmp_path / command / name).read_text())
+        assert {key: payload[key] for key in want} == want
 
 
 def test_simulate_deterministic_and_thread_invariant(tmp_path):
@@ -410,6 +423,22 @@ def test_value_of_the_wrong_type_is_a_config_error(tmp_path, command, section, v
     _assert_demo_config_error(tmp_path, command, section, value)
 
 
+@pytest.mark.parametrize("drift", [[], [0.5, 7.0]], ids=["empty", "two_values"])
+def test_density_drift_must_hold_one_value(tmp_path, drift):
+    density = json.loads(DEMO.read_text())["density"]
+    _assert_demo_config_error(tmp_path, "density", "density", {**density, "drift": drift})
+
+
+def test_cli_module_runs_as_main(tmp_path):
+    _, env = _console_command()
+    proc = subprocess.run(
+        [sys.executable, "-m", "temperedwalk.cli", "simulate", "--config", str(DEMO),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "samples.csv").exists()
+
+
 CENTERED_DEMO = DEMO.with_name("centered_demo.json")
 
 
@@ -428,7 +457,7 @@ def test_diagnose_sector_over_six_decades(tmp_path, capsys):
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
-    def broken(cfg, out, seed, threads):
+    def broken(cfg, out, seed, threads, stamp):
         raise KeyError("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "simulate", broken)

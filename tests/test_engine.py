@@ -37,7 +37,7 @@ def test_tempered_jump_reduces_to_raw_without_tempering():
     m = JumpModel(1.5, ONE)
     nt = TemperingSpec.no_tempering(1.5)
     rng1 = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
-    idx, rad = engine._tempered_jumps(m, nt, 100.0, rng1.random((3, 1000)))
+    idx, rad = engine._tempered_jumps(m, nt, 100.0, rng1, 1000)
     assert idx.shape == rad.shape == (1000,)
     assert np.all(idx == 0)
     assert np.all(rad >= 1.0)  # never truncated, radius at least x_m
@@ -46,6 +46,34 @@ def test_tempered_jump_reduces_to_raw_without_tempering():
     # rejects non-positive ones
     with pytest.raises(ValueError):
         WalkPlan(n=10, replicates=1, seed=1, v_override=-1.0)
+
+
+def _philox(seed, stream):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def test_jump_source_row_layout():
+    """Layout 2, rebuilt by hand from the Philox rows: atom from row 0
+    (weights 0.7/0.3), R = (1 - u)^(-1/alpha) from row 1, then T from row 2
+    (CE, E/lam) or V from row 2 and W from row 3 (exponential_q,
+    T = V (1 - u3)^(1/alpha)).  The first three rows of a four-row block are
+    the three-row block of layout 1."""
+    alpha, v, m = 1.5, 3.0, 5000
+    model = JumpModel(alpha, TWO)
+    rates = np.array([0.5, 2.0])
+    assert np.array_equal(_philox(5, 1).random((4, m))[:3], _philox(5, 1).random((3, m)))
+    for spec, rows in ((TemperingSpec.conditionally_exponential(alpha, rates, TWO), 3),
+                       (TemperingSpec.exponential_q(alpha, rates, TWO), 4)):
+        u = _philox(5, 1).random((rows, m))
+        atom = (u[0] >= 0.7).astype(np.int64)
+        r = (1.0 - u[1]) ** (-1.0 / alpha)
+        t = -np.log(1.0 - u[2]) / rates[atom]
+        if rows == 4:
+            t = t * (1.0 - u[3]) ** (1.0 / alpha)
+        idx, rad = engine._tempered_jumps(model, spec, v, _philox(5, 1), m)
+        assert np.array_equal(idx, atom)
+        assert np.array_equal(rad, np.minimum(r, v * t))
+        assert spec.t_uniforms == rows - 2
 
 
 def test_rowsum_batch_shape_and_meta():

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from temperedwalk import JumpModel, SpectralMeasure, TemperingSpec, engine
@@ -129,16 +131,15 @@ def test_survival_identity_property(alpha, lam, u):
 def test_no_tempering_sampler_returns_sentinel():
     # T = +inf leaves every raw radius untouched, however small v is
     model = JumpModel(1.2, TWO)
-    u = _rng().random((3, 1000))
-    _, rad = engine._tempered_jumps(model, TemperingSpec.no_tempering(1.2), 1e-300, u)
-    assert np.array_equal(rad, model._radius_from_uniform(u[1]))
+    _, rad = engine._tempered_jumps(model, TemperingSpec.no_tempering(1.2), 1e-300, _rng(), 1000)
+    assert np.array_equal(rad, model._radius_from_uniform(_rng().random((3, 1000))[1]))
 
 
 def test_conditionally_exponential_sampler_ks():
     spec = TemperingSpec.conditionally_exponential(0.7, 1.0, ONE)
     rng = _rng(11)
-    u = 1.0 - rng.random(100000)
-    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64)))
+    u = rng.random((spec.t_uniforms, 100000))
+    t = np.sort(spec._t_from_uniform(u, np.zeros(u.shape[1], dtype=np.int64)))
     cdf = 1.0 - np.exp(-t)
     i = np.arange(1, len(t) + 1)
     ks = max(np.max(np.abs(cdf - i / len(t))), np.max(np.abs(cdf - (i - 1) / len(t))))
@@ -148,20 +149,65 @@ def test_conditionally_exponential_sampler_ks():
 def test_exponential_q_sampler_ks():
     spec = TemperingSpec.exponential_q(1.5, 1.0, ONE)
     rng = _rng(12)
-    u = 1.0 - rng.random(100000)
-    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64)))
+    u = rng.random((spec.t_uniforms, 100000))
+    t = np.sort(spec._t_from_uniform(u, np.zeros(u.shape[1], dtype=np.int64)))
     cdf = 1.0 - np.array([spec.pi(float(x), 0) for x in t[:: len(t) // 2000]])
     i = np.arange(0, len(t), len(t) // 2000) + 1.0
     ks = np.max(np.abs(cdf - i / len(t)))
     assert ks <= 0.01
 
 
+def _ks_upper_bound(draws, cdf, points):
+    """An upper bound on the KS distance of ``draws`` to ``cdf`` that needs
+    the cdf only at ``points`` sample quantiles: between two of them both
+    the empirical and the true cdf are monotone."""
+    x = np.sort(draws)
+    grid = x[np.linspace(0, len(x) - 1, points).astype(np.int64)]
+    f = np.array([cdf(g) for g in grid])
+    below = np.searchsorted(x, grid, side="left") / len(x)
+    upto = np.searchsorted(x, grid, side="right") / len(x)
+    at_points = np.maximum(np.abs(upto - f), np.abs(below - f))
+    between = np.maximum(below[1:] - f[:-1], f[1:] - upto[:-1])
+    return max(at_points.max(), between.max(), f[0], 1.0 - f[-1])
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_exponential_q_jump_source_draws_t_exactly(alpha):
+    """T = V U^(1/alpha) from the engine's jump source against pi from
+    mpmath: 10^6 draws, KS below its 0.1 % critical value 1.95/sqrt(N).
+    x_m = 1e250 keeps the raw radius out of min(R, v T), so the radii are T."""
+    n = 10 ** 6
+    model = JumpModel(alpha, ONE, x_m=1e250)
+    spec = TemperingSpec.exponential_q(alpha, 1.0)
+    _, t = engine._tempered_jumps(model, spec, 1.0, _rng(21), n)
+
+    def cdf(u):
+        x = mpmath.mpf(float(u))
+        return 1.0 - float(alpha * x ** alpha * mpmath.gammainc(-alpha, x))
+
+    assert _ks_upper_bound(t, cdf, 4000) < 1.95 / math.sqrt(n)
+
+
+def test_custom_q_draws_t_without_quadrature(monkeypatch):
+    calls = []
+    quad = scipy.integrate.quad
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda *args, **kwargs: calls.append(args) or quad(*args, **kwargs))
+    spec = TemperingSpec.custom_q(0.7, _two_rate_q, TWO)
+    idx = np.arange(1000) % 2
+    t = spec._t_from_uniform(_rng(17).random((spec.t_uniforms, 1000)), idx)
+    assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
+    assert len(calls) == 0
+    spec.pi(1.0, 0)  # pi still integrates, so the count sees quadratures
+    assert len(calls) > 0
+
+
 def test_custom_q_sampler_ks():
     spec = TemperingSpec.custom_q(0.7, lambda r, s: 0.7 * math.exp(-r), ONE)
     built = TemperingSpec.exponential_q(0.7, 1.0, ONE)
     rng = _rng(14)
-    u = 1.0 - rng.random(20000)
-    t = np.sort(spec._t_from_uniform(u, np.zeros(len(u), dtype=np.int64)))
+    u = rng.random((spec.t_uniforms, 20000))
+    t = np.sort(spec._t_from_uniform(u, np.zeros(u.shape[1], dtype=np.int64)))
     sub = t[:: len(t) // 1000]
     cdf = 1.0 - np.array([built.pi(float(x), 0) for x in sub])
     i = np.arange(0, len(t), len(t) // 1000) + 1.0
@@ -174,9 +220,9 @@ def test_per_atom_rates():
     assert spec.pi(1.0, 0) == pytest.approx(math.exp(-1.0))
     assert spec.pi(1.0, 1) == pytest.approx(math.exp(-4.0))
     # heavier tempering gives stochastically smaller T for shared uniforms
-    u = _rng(15).random(500)
-    t0 = spec._t_from_uniform(1.0 - u, np.zeros(500, dtype=np.int64))
-    t1 = spec._t_from_uniform(1.0 - u, np.ones(500, dtype=np.int64))
+    u = _rng(15).random((spec.t_uniforms, 500))
+    t0 = spec._t_from_uniform(u, np.zeros(500, dtype=np.int64))
+    t1 = spec._t_from_uniform(u, np.ones(500, dtype=np.int64))
     assert np.all(t1 <= t0 + 1e-12)
 
 
@@ -189,10 +235,10 @@ def test_custom_q_draws_each_atom_from_its_own_direction():
     """T for atom j comes from q at sigma's atom j: an equal but separate
     spectral measure, or a spec bound to that atom alone, gives the same
     draws, and each atom's median matches its exponential_q twin."""
-    u = 1.0 - _rng(16).random(2000)
     zeros, ones = np.zeros(2000, dtype=np.int64), np.ones(2000, dtype=np.int64)
     spec = TemperingSpec.custom_q(0.7, _two_rate_q, TWO)
-    t_minus = spec._t_from_uniform(u, ones)  # the -1 table is built first
+    u = _rng(16).random((spec.t_uniforms, 2000))
+    t_minus = spec._t_from_uniform(u, ones)
     t_plus = spec._t_from_uniform(u, zeros)
 
     twin = TemperingSpec.custom_q(
