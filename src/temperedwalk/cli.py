@@ -17,9 +17,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import traceback
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -188,28 +190,30 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _columns(values):
+    """The columns of a 2-d array as _fmt strings, one format call per value."""
+    return [map("{:.17g}".format, col.tolist()) for col in values.T]
+
+
 def _write_samples(path, batch):
     d = batch.dimension
     header = "replicate," + ",".join(f"x_{i + 1}" for i in range(d))
-    lines = [header]
-    for i, row in enumerate(batch.values):
-        lines.append(str(i) + "," + ",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(map(str, range(batch.replicates)), *_columns(batch.values))
+    Path(path).write_text("\n".join([header, *map(",".join, rows)]) + "\n")
 
 
 def _write_paths(path, batches):
     d = batches[0].dimension
     header = "replicate,t," + ",".join(f"x_{i + 1}" for i in range(d))
-    lines = [header]
-    for i in range(batches[0].replicates):
-        for batch in batches:
-            lines.append(
-                f"{i},{_fmt(batch.t)}," + ",".join(_fmt(v) for v in batch.values[i])
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    per_time = [map(",".join, zip(repeat(_fmt(b.t)), *_columns(b.values))) for b in batches]
+    rows = (f"{i},{row}" for i, at_i in enumerate(zip(*per_time)) for row in at_i)
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
-def _meta_dict(batch, plan, threads):
+def _meta_dict(batches, plan, threads):
+    """meta.json of a run; batches holds one SampleBatch per grid time."""
+    batch = batches[0]
+    jumps = batch.replicates * max(math.floor(batch.n * batches[-1].t), 1)
     return {
         "n": batch.n,
         "replicates": batch.replicates,
@@ -220,6 +224,7 @@ def _meta_dict(batch, plan, threads):
         "seed": batch.seed,
         "threads": threads,
         "elapsed_seconds": batch.elapsed_seconds,
+        "jumps_per_second": jumps / batch.elapsed_seconds,
         "time_grid": list(plan.time_grid) if plan.time_grid else None,
     }
 
@@ -269,7 +274,7 @@ def _cmd_simulate(cfg, out, seed, threads, stamp):
     _, model, tempering, plan = _build_all(cfg, seed)
     batch = engine.simulate_rowsum(plan, model, tempering, threads=threads)
     _write_samples(out / "samples.csv", batch)
-    _write_json(out / "meta.json", {**_meta_dict(batch, plan, threads), **stamp})
+    _write_json(out / "meta.json", {**_meta_dict([batch], plan, threads), **stamp})
     return 0
 
 
@@ -279,7 +284,7 @@ def _cmd_paths(cfg, out, seed, threads, stamp):
         _fail("missing_time_grid", "paths mode needs plan.time_grid")
     batches = engine.simulate_paths(plan, model, tempering, threads=threads)
     _write_paths(out / "paths.csv", batches)
-    _write_json(out / "meta.json", {**_meta_dict(batches[0], plan, threads), **stamp})
+    _write_json(out / "meta.json", {**_meta_dict(batches, plan, threads), **stamp})
     return 0
 
 

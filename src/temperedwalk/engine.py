@@ -11,10 +11,12 @@ for one of three centerings (none, truncated mean, jump mean) and, in paths
 mode, the partial-sum process (1/v) * S(floor(n*t)) - t*a_n on a time grid.
 
 Randomness is counter-based: replicate i of a run with seed s consumes one
-block of uniforms from a Philox stream keyed by (s, i), so results are
+block of uniforms from the Philox stream keyed by (s, i), so results are
 byte-identical regardless of how replicates are distributed over workers.
-Auxiliary consumers (Monte Carlo centering, diagnostics) use stream indices
-at 2^63 and above, out of reach of any realistic replicate count.
+A stream's bits depend on its key alone, so each worker keeps one generator
+and re-keys it per replicate instead of building a new one.  Auxiliary
+consumers (Monte Carlo centering, diagnostics) use stream indices at 2^63
+and above, out of reach of any realistic replicate count.
 
 m jumps take one ``random((2 + spec.t_uniforms, m))`` block, filled row-major:
 row 0 picks the atom, row 1 the raw radius R, rows 2 on the tempering
@@ -66,9 +68,21 @@ _AUX_STREAM = 2 ** 63
 _AUX_CHUNK = 1_000_000
 
 
-def _generator(seed, stream):
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream_opener(seed):
+    """A function stream -> generator at the start of the Philox stream keyed
+    by (seed, stream).  It re-keys one generator, so opening a stream ends
+    the previous one: one opener per thread."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    # a fresh Philox: counter 0, buffer_pos 4 (buffer spent), no uint32 held
+    fresh = gen.bit_generator.state
+    key = fresh["state"]["key"]
+
+    def open_stream(stream):
+        key[1] = stream
+        gen.bit_generator.state = fresh
+        return gen
+
+    return open_stream
 
 
 @dataclass(frozen=True)
@@ -209,7 +223,7 @@ def _tempered_jumps(model, spec, v, gen, m):
 
 def _aux_jumps(model, spec, v, draws, seed, stream):
     """``draws`` tempered jumps from auxiliary stream ``stream``, in blocks."""
-    gen = _generator(seed, _AUX_STREAM + stream)
+    gen = _stream_opener(seed)(_AUX_STREAM + stream)
     left = int(draws)
     while left > 0:
         m = min(left, _AUX_CHUNK)
@@ -224,17 +238,20 @@ def _atom_sums(idx, rad, k):
     return np.bincount(idx, weights=rad, minlength=k)
 
 
-def _run_replicates(worker, replicates, threads):
+def _run_replicates(worker, replicates, seed, threads):
+    """worker(rep, gen) for every replicate, gen on stream (seed, rep); each
+    thread that runs replicates (the caller's, for one thread) re-keys its
+    own generator."""
+    def run(block):
+        open_stream = _stream_opener(seed)
+        for rep in block:
+            worker(rep, open_stream(rep))
     if threads <= 1:
-        for rep in range(replicates):
-            worker(rep)
+        run(range(replicates))
         return
     chunks = np.array_split(np.arange(replicates), threads)
-    def run(block):
-        for rep in block:
-            worker(int(rep))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, chunks))
+        list(pool.map(run, [chunk.tolist() for chunk in chunks]))
 
 
 def _validate(plan, model, spec):
@@ -259,15 +276,15 @@ def _simulate(plan, model, spec, threads, times):
     n_jumps = max(max(cuts), 1)
     out = np.empty((plan.replicates, len(cuts), sigma.dimension))
 
-    def worker(rep):
-        idx, rad = _tempered_jumps(model, spec, v, _generator(plan.seed, rep), n_jumps)
+    def worker(rep, gen):
+        idx, rad = _tempered_jumps(model, spec, v, gen, n_jumps)
         for ci, (c, shift) in steps:
             if c == 0:
                 out[rep, ci] = -shift
             else:
                 out[rep, ci] = _atom_sums(idx[:c], rad[:c], k) @ directions / v - shift
 
-    _run_replicates(worker, plan.replicates, threads)
+    _run_replicates(worker, plan.replicates, plan.seed, threads)
     return out, v, center, time.perf_counter() - started
 
 

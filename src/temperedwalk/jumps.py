@@ -88,6 +88,9 @@ class JumpModel:
     def _radius_from_uniform(self, u):
         """Inverse survival sampling of R from uniforms in [0, 1)."""
         u = np.asarray(u, dtype=float)
+        if self._probs.tolist() == [1.0]:
+            # one scale: lo = 0 and p = 1, so local == u and the bits are those below
+            return self._scales[0] * (1.0 - u) ** (-1.0 / self.alpha)
         comp = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
         lo = np.concatenate(([0.0], self._cum))[comp]
         local = (u - lo) / self._probs[comp]

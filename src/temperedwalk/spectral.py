@@ -99,9 +99,14 @@ class SpectralMeasure:
         return float(self._weights.sum())
 
     def _index_from_uniform(self, u):
-        """Atom indices for uniforms in [0, 1); vectorized."""
-        idx = np.searchsorted(self._cum, u, side="right")
-        return np.minimum(idx, len(self) - 1)
+        """Atom indices for uniforms in [0, 1); vectorized.  Equals
+        min(searchsorted(cum, u, side="right"), k - 1), by comparison for k <= 2."""
+        k = len(self)
+        if k == 1:
+            return np.zeros(np.shape(u), dtype=np.intp)
+        if k == 2:
+            return (u >= self._cum[0]).astype(np.intp)
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), k - 1)
 
     def integrate(self, f):
         """sum_i w_i * f(s_i); f may return a scalar or a vector."""

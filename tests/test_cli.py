@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -57,6 +58,16 @@ def test_simulate_writes_samples_and_meta(tmp_path):
     assert meta["n"] == 400 and meta["replicates"] == 200
     assert meta["seed"] == 42 and meta["centering"] == "none"
     assert meta["v_n"] > 0 and meta["elapsed_seconds"] >= 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "paths"])
+def test_meta_reports_jump_throughput(tmp_path, command):
+    cfg = _cfg(plan={"n": 301, "replicates": 40, "seed": 3, "time_grid": [0.25, 0.5]})
+    assert cli.run([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+    jumps = 40 * (301 if command == "simulate" else 150)
+    assert meta["jumps_per_second"] == pytest.approx(jumps / meta["elapsed_seconds"], rel=1e-12)
+    assert 0.0 < meta["jumps_per_second"] < math.inf
 
 
 def test_meta_and_report_carry_provenance(tmp_path):
@@ -465,3 +476,70 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
                   "--out", str(tmp_path / "out")])
     assert rc == 3
     assert _stderr_code(capsys) == "internal"
+
+
+# ------------------------------------------------------------- RNG layout
+
+_PIN_LAWS = {
+    "ce_two_atoms": {
+        "sigma": BASE["sigma"],
+        "model": {"alpha": 0.7},
+        "tempering": {"family": "conditionally_exponential", "rates": {"0": 1.0, "1": 2.5}},
+        "plan": {"n": 300, "replicates": 60, "seed": 11, "centering": "none"},
+    },
+    "expq_one_atom_truncated_mean": {
+        "sigma": [{"direction": [1.0], "weight": 1.0}],
+        "model": {"alpha": 1.5},
+        "tempering": {"family": "exponential_q", "rates": 1.0},
+        "plan": {"n": 300, "replicates": 60, "seed": 12, "centering": "truncated_mean"},
+    },
+    "no_tempering": {
+        "sigma": BASE["sigma"],
+        "model": {"alpha": 1.2},
+        "tempering": {"family": "no_tempering"},
+        "plan": {"n": 300, "replicates": 60, "seed": 13, "centering": "none"},
+    },
+    "mixed_three_scales_three_atoms_2d": {
+        "sigma": [{"direction": [1.0, 0.0], "weight": 0.5},
+                  {"direction": [0.0, 1.0], "weight": 0.3},
+                  {"direction": [-0.6, -0.8], "weight": 0.2}],
+        "model": {"alpha": 1.2, "radial": {"scales": [1.0, 2.0, 5.0],
+                                           "weights": [0.5, 0.3, 0.2]}},
+        "tempering": {"family": "conditionally_exponential", "rates": 1.0},
+        "plan": {"n": 300, "replicates": 60, "seed": 14, "centering": "none"},
+    },
+}
+
+# sha256 of samples.csv (simulate) and paths.csv (paths, times 0.5 and 1) at
+# RNG_LAYOUT 2.
+_PIN_SHA256 = {
+    "ce_two_atoms": (
+        "8817feb408a5fead167add69eef6ac1cb4465f5c3eee6d141207a0c9879f021b",
+        "616503ecb1af02d4f9daaeef3bbb9597fd70e961833ce3c4fac10a8755a0a9db"),
+    "expq_one_atom_truncated_mean": (
+        "9dfc555d27ae4418ed4a885528757d8130a065e531d0a1f3cf52e81b85bb53f9",
+        "02a21038303410dd9abd3f516042ac75d0e20e3dee557856265463e2f0721ab0"),
+    "no_tempering": (
+        "aabdba807d8ef1d45510099d5360721a9bb99d0937130cb4845d5f545b48dff1",
+        "889769da05d4df5a13285e509083fa3b487b5279a5f453fbb2bba1c3f6e97349"),
+    "mixed_three_scales_three_atoms_2d": (
+        "0c65c7e6e8e6e046839c63f14fb888276a5344b5334f9946dcacd9aea5581ec4",
+        "125f1ce35c176087c1e1a32901ccc15a1cb2d5da5acd0142b163dcf4191fd386"),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_PIN_LAWS))
+def test_rng_layout_output_bytes_are_pinned(tmp_path, law):
+    """The output bytes of small runs do not move unless RNG_LAYOUT does."""
+    cfg = _PIN_LAWS[law]
+    paths_cfg = {**cfg, "plan": {**cfg["plan"], "time_grid": [0.5, 1.0]}}
+    got = []
+    for command, config, name in (("simulate", cfg, "samples.csv"),
+                                  ("paths", paths_cfg, "paths.csv")):
+        out = tmp_path / command
+        assert cli.run([command, "--config", _write(tmp_path, config, command + ".json"),
+                        "--out", str(out)]) == 0
+        got.append(hashlib.sha256((out / name).read_bytes()).hexdigest())
+    assert tuple(got) == _PIN_SHA256[law], (
+        f"{law}: output bytes changed at RNG_LAYOUT {cli.engine.RNG_LAYOUT}; "
+        "bump `RNG_LAYOUT` if this change of bits is intended")

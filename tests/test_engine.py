@@ -76,6 +76,48 @@ def test_jump_source_row_layout():
         assert spec.t_uniforms == rows - 2
 
 
+def _draws(gen):
+    # ends with an odd count of 32-bit draws and a part-used 64-bit buffer
+    return gen.random(7), gen.integers(0, 2 ** 32, size=5, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_rekeyed_stream_is_a_fresh_philox(seed):
+    """Re-keying one generator gives the draws of a new Philox(key=[seed, stream]),
+    whatever the previous stream left in the buffer."""
+    open_stream = engine._stream_opener(seed)
+    for stream in (0, 5, engine._AUX_STREAM + 1, engine._AUX_STREAM + 2, 5):
+        gen = open_stream(stream)
+        for got, want in zip(_draws(gen), _draws(_philox(seed, stream))):
+            assert np.array_equal(got, want)
+        state = gen.bit_generator.state
+        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+
+
+def test_aux_jumps_come_from_the_aux_stream():
+    m = JumpModel(1.5, TWO)
+    ce = TemperingSpec.conditionally_exponential(1.5, 1.0, TWO)
+    for stream in (1, 2):
+        (idx, rad), = engine._aux_jumps(m, ce, 7.0, 1001, 2 ** 64 - 1, stream)
+        gen = _philox(2 ** 64 - 1, engine._AUX_STREAM + stream)
+        want_idx, want_rad = engine._tempered_jumps(m, ce, 7.0, gen, 1001)
+        assert np.array_equal(idx, want_idx) and np.array_equal(rad, want_rad)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_replicates_draw_fresh_philox_streams(threads):
+    """Replicate i's row sum is the one a new Philox keyed (seed, i) gives."""
+    plan = WalkPlan(n=201, replicates=20, seed=2 ** 64 - 1)
+    m = JumpModel(0.7, TWO)
+    ce = TemperingSpec.conditionally_exponential(0.7, [0.5, 2.0], TWO)
+    batch = engine.simulate_rowsum(plan, m, ce, threads=threads)
+    v = batch.threshold
+    for rep in range(plan.replicates):
+        idx, rad = engine._tempered_jumps(m, ce, v, _philox(plan.seed, rep), plan.n)
+        want = engine._atom_sums(idx, rad, 2) @ TWO.directions / v
+        assert np.array_equal(batch.values[rep], want)
+
+
 def test_rowsum_batch_shape_and_meta():
     plan = WalkPlan(n=500, replicates=64, seed=3)
     m = JumpModel(0.7, TWO)

@@ -74,6 +74,26 @@ def test_mixture_sampling_ks():
     assert ks <= 0.015
 
 
+def _general_inverse(model, u):
+    # the mixture inverse for any number of scales, copied from the sampler
+    comp = np.minimum(np.searchsorted(model._cum, u, side="right"), len(model._cum) - 1)
+    lo = np.concatenate(([0.0], model._cum))[comp]
+    local = (u - lo) / model._probs[comp]
+    return model._scales[comp] * (1.0 - local) ** (-1.0 / model.alpha)
+
+
+@pytest.mark.parametrize("radial", ["exact_pareto", MixedScalePareto((1.0,), (1.0,))],
+                         ids=["exact", "one_scale_mixture"])
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_single_scale_radius_has_the_general_bits(radial, alpha):
+    """The closed-form single-scale radius is the mixture inverse, bit for bit."""
+    m = JumpModel(alpha, TWO, x_m=1.7, radial=radial)
+    u = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], _rng(7).random(100000)])
+    r = m._radius_from_uniform(u)
+    assert np.array_equal(r, _general_inverse(m, u))
+    assert np.all(np.isfinite(r))
+
+
 def test_mean_radius_and_jump():
     m = JumpModel(1.5, TWO, x_m=2.0)
     assert m.mean_radius() == pytest.approx(3.0 * 2.0)  # alpha/(alpha-1) * x_m

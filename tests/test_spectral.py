@@ -64,6 +64,20 @@ def test_sample_index_frequencies():
     assert abs(frac - 0.7) < 0.005  # ~3.5 sigma at N=1e5
 
 
+@pytest.mark.parametrize("weights", [[1.0], [0.7, 0.3], [0.5, 0.3, 0.2]], ids=["k1", "k2", "k3"])
+def test_index_from_uniform_equals_searchsorted(weights):
+    """The comparison shortcuts for k <= 2 pick the atoms searchsorted picks."""
+    k = len(weights)
+    sm = SpectralMeasure(np.eye(3)[:k], weights)
+    cum = sm._cum
+    edges = [0.0, cum[0], np.nextafter(cum[0], 0.0), np.nextafter(1.0, 0.0)]
+    u = np.concatenate([edges, _rng(6).random(100000)])
+    idx = sm._index_from_uniform(u)
+    want = np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
+    assert idx.dtype == want.dtype
+    assert np.array_equal(idx, want)
+
+
 def test_equality_and_hash():
     a = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])
     b = SpectralMeasure([[1.0], [-1.0]], [0.7, 0.3])
