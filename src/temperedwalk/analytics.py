@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _aux_jumps, tempering_threshold
+from .engine import _aux_jumps, _truncated_moment, tempering_threshold
 from .jumps import JumpModel
 from .numerics import QuadratureError, adaptive_quad, integral_to_infinity
 from .spectral import SpectralMeasure
@@ -144,9 +144,7 @@ class LevyExponent:
             raise ValueError("mean_zero compensation needs alpha > 1")
         if convention == DRIFT_FREE and alpha >= 1.0:
             raise ValueError("drift_free form needs alpha < 1")
-        if abs(alpha - tempering.alpha) > 1e-12:
-            raise ValueError("tempering alpha mismatch")
-        tempering.check_sigma(sigma)
+        tempering.check_law(alpha, sigma)
         self.alpha = float(alpha)
         self.sigma = sigma
         self.tempering = tempering
@@ -263,7 +261,7 @@ def _sin_m1(z):
 
 def tail_first_moment(alpha, sigma: SpectralMeasure, tempering: TemperingSpec):
     """The vector integral of x over ||x|| >= 1 against the Lévy measure."""
-    tempering.check_sigma(sigma)
+    tempering.check_law(alpha, sigma)
     return _over_atoms(sigma, lambda j: tempering.tail_moment(1.0, j))
 
 
@@ -285,7 +283,7 @@ def _require_tempered_regular(alpha, sigma, tempering, what):
         raise ValueError(f"the {what} is defined for alpha in (1, 2)")
     if isinstance(tempering, NoTempering):
         raise ValueError(f"the {what} needs actual tempering")
-    tempering.check_sigma(sigma)
+    tempering.check_law(alpha, sigma)
     betas = np.linspace(alpha + 0.05, 2.0, _REGULARITY_BETAS)
     if not any(tempering.verify_regularity(b).bounded for b in betas):
         raise ValueError("tempering fails the mean regularity hypothesis")
@@ -338,7 +336,7 @@ def levy_mass(alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
     """
     if not (0.0 < r_lo <= r_hi):
         raise ValueError("need 0 < r_lo <= r_hi")
-    tempering.check_sigma(sigma)
+    tempering.check_law(alpha, sigma)
     indices = range(len(sigma)) if atoms is None else atoms
     if any(not 0 <= j < len(sigma) for j in indices):
         raise ValueError("atoms must be indices of sigma's atoms")
@@ -468,8 +466,10 @@ def vague_convergence_table(model: JumpModel, tempering: TemperingSpec, n,
     with fewer than 100 hits are flagged, not failed.
     """
     sectors = list(sectors)
+    if draws < 1 or not sectors:
+        raise ValueError("vague_convergence_table needs draws >= 1 and a sector")
     sigma = model.sigma
-    tempering.check_sigma(sigma)
+    tempering.check_law(model.alpha, sigma)
     v = tempering_threshold(model, n)
     hits = np.zeros(len(sectors), dtype=np.int64)
     for idx, rad in _aux_jumps(model, tempering, v, draws, seed, 2):
@@ -502,29 +502,25 @@ class UANProfile:
 def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas):
     """Truncated second moments n v^{-2} E||Y 1(||Y|| <= v delta)||^2.
 
-    Computed by quadrature: with Z = min(R/v, T),
-    E[Z^2 1(Z <= delta)] = 2 int_0^delta u S_R(vu) pi(u,s) du
-                           - delta^2 S_R(v delta) pi(delta, s)
-    per atom.  Reports the values and the fitted log-log slope over deltas.
+    Computed by quadrature: E[Z^2 1(Z <= delta)] per atom, Z = min(R/v, T),
+    is ``engine._truncated_moment`` at p = 2.  Reports the values and the
+    fitted log-log slope over deltas.
     """
     deltas = np.asarray(sorted(float(x) for x in deltas))
+    if deltas.size == 0:
+        raise ValueError("uan_profile needs at least one delta")
     if np.any(deltas <= 0.0) or np.any(deltas > 1.0):
         raise ValueError("deltas must lie in (0, 1]")
     sigma = model.sigma
-    tempering.check_sigma(sigma)
+    tempering.check_law(model.alpha, sigma)
     mass = sigma.total_mass()
     v = tempering_threshold(model, n)
-    breaks = sorted(float(c) / v for c in model.radius_scales)
     values = []
-    for delta in deltas:
+    for delta in deltas.tolist():
         total = 0.0
         for j in range(len(sigma)):
-            integral = adaptive_quad(
-                lambda u: u * model.radius_survival(v * u) * tempering.pi(u, j),
-                0.0, float(delta), points=breaks,
-            )
-            edge = delta ** 2 * model.radius_survival(v * delta) * tempering.pi(float(delta), j)
-            total += sigma.weights[j] / mass * (2.0 * integral - edge)
+            moment = _truncated_moment(model, tempering, v, j, 2, delta)
+            total += sigma.weights[j] / mass * moment
         values.append(n * total)
     values = np.asarray(values)
     if len(deltas) >= 2:

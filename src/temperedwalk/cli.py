@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import traceback
-from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import __version__, analytics, engine
 from .jumps import EXACT_PARETO, JumpModel, MixedScalePareto
 from .spectral import SpectralMeasure
-from .tempering import FAMILIES, NoTempering, RateFamily
+from .tempering import CUSTOM_Q, FAMILIES, NoTempering
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -46,138 +45,34 @@ def _fail(code, message):
     raise ConfigError(code, message)
 
 
-# ------------------------------------------------------------- config load
-
-
-def _load_config(path):
-    """The config object, and the provenance keys of every meta/report.json."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        _fail("config_unreadable", f"cannot read config file: {exc}")
-    try:
-        cfg = json.loads(data.decode())
-    except json.JSONDecodeError as exc:
-        _fail("invalid_config", f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        _fail("invalid_config", "config root must be an object")
-    stamp = {"rng_layout": engine.RNG_LAYOUT, "version": __version__,
-             "config_sha256": hashlib.sha256(data).hexdigest()}
-    return cfg, stamp
-
-
-def _need(mapping, key, where):
-    if key not in mapping:
-        _fail("invalid_config", f"missing {key!r} in {where}")
-    return mapping[key]
-
-
-def _object(value, where):
-    """A config section, which must be a JSON object."""
-    if not isinstance(value, dict):
-        _fail("invalid_config", f"{where} must be an object")
-    return value
-
-
-@contextmanager
-def _config_values(where):
-    """Make a config value of the wrong type or form a config error."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        _fail("invalid_config", f"bad {where}: {exc}")
-
-
-def _build_sigma(cfg):
-    atoms = cfg.get("sigma")
-    if isinstance(atoms, dict):
-        atoms = atoms.get("atoms")
-    if not isinstance(atoms, list) or not atoms:
-        _fail("invalid_config", "sigma must list at least one atom")
-    try:
-        dirs = [np.asarray(_need(a, "direction", "sigma atom"), dtype=float) for a in atoms]
-        weights = [float(_need(a, "weight", "sigma atom")) for a in atoms]
-        return SpectralMeasure(np.vstack([np.atleast_1d(d) for d in dirs]), weights)
-    except (ValueError, TypeError) as exc:
-        _fail("invalid_config", f"bad spectral measure: {exc}")
-
-
-def _build_model(cfg, sigma):
-    mc = _object(_need(cfg, "model", "config"), "model")
-    with _config_values("model"):
-        alpha = float(_need(mc, "alpha", "model"))
-        x_m = float(mc.get("x_m", 1.0))
-    radial_cfg = mc.get("radial", EXACT_PARETO)
-    if isinstance(radial_cfg, dict):
-        with _config_values("radial mixture"):
-            radial = MixedScalePareto(
-                tuple(_need(radial_cfg, "scales", "model.radial")),
-                tuple(_need(radial_cfg, "weights", "model.radial")),
-            )
-    elif radial_cfg == EXACT_PARETO:
-        radial = EXACT_PARETO
-    else:
-        _fail("invalid_config", f"unknown radial variant {radial_cfg!r}")
-    try:
-        return JumpModel(alpha, sigma, x_m=x_m, radial=radial)
-    except (ValueError, TypeError) as exc:
-        _fail("invalid_config", f"bad jump model: {exc}")
-
-
-def _build_tempering(cfg, alpha, sigma):
-    tc = _object(_need(cfg, "tempering", "config"), "tempering")
-    family = _need(tc, "family", "tempering")
-    with _config_values("tempering"):
-        if "alpha" in tc and abs(float(tc["alpha"]) - alpha) > 1e-12:
-            _fail("invalid_config", "tempering alpha must match model alpha")
-    spec_class = FAMILIES.get(family) if isinstance(family, str) else None
-    if spec_class is NoTempering:
-        return spec_class(alpha)
-    if spec_class is None or not issubclass(spec_class, RateFamily):
-        _fail("invalid_config", f"unknown or non-config tempering family {family!r}")
-    rates = _need(tc, "rates", "tempering")
-    if isinstance(rates, dict):
-        try:
-            arr = np.empty(len(sigma))
-            seen = set()
-            for key, value in rates.items():
-                arr[int(key)] = float(value)
-                seen.add(int(key))
-            if seen != set(range(len(sigma))):
-                _fail("invalid_config", "rates map must cover every atom index")
-            rates = arr
-        except (ValueError, IndexError, TypeError):
-            _fail("invalid_config", "rates map must take atom indices to rates")
-    try:
-        return spec_class(alpha, rates, sigma)
-    except (ValueError, TypeError) as exc:
-        _fail("invalid_config", f"bad tempering: {exc}")
-
-
-def _build_plan(cfg, seed_override):
-    pc = _object(_need(cfg, "plan", "config"), "plan")
-    seed = seed_override if seed_override is not None else pc.get("seed")
-    if seed is None:
-        _fail("invalid_config", "a seed is required (plan.seed or --seed)")
-    grid = pc.get("time_grid")
-    try:
-        return engine.WalkPlan(
-            n=int(_need(pc, "n", "plan")),
-            replicates=int(_need(pc, "replicates", "plan")),
-            seed=int(seed),
-            centering=pc.get("centering", engine.CENTER_NONE),
-            v_override=pc.get("v_override"),
-            time_grid=tuple(grid) if grid is not None else None,
-        )
-    except (ValueError, TypeError) as exc:
-        _fail("invalid_config", f"bad plan: {exc}")
+# ---------------------------------------------------------------- builders
 
 
 def _build_all(cfg, seed_override):
-    sigma = _build_sigma(cfg)
-    model = _build_model(cfg, sigma)
-    tempering = _build_tempering(cfg, model.alpha, sigma)
-    plan = _build_plan(cfg, seed_override)
+    """sigma, jump model, tempering and walk plan of a config read by _CONFIG;
+    the library's own checks raise ValueError, which run() reports."""
+    atoms = cfg["sigma"]
+    sigma = SpectralMeasure([a["direction"] for a in atoms], [a["weight"] for a in atoms])
+    mc, tc, pc = cfg["model"], cfg["tempering"], cfg["plan"]
+    model = JumpModel(mc["alpha"], sigma, x_m=mc["x_m"], radial=mc["radial"])
+    if tc["alpha"] is not None and abs(tc["alpha"] - model.alpha) > 1e-12:
+        _fail("invalid_config", "config.tempering.alpha must match config.model.alpha")
+    spec_class, rates = FAMILIES[tc["family"]], tc["rates"]
+    if isinstance(rates, dict):
+        indices = [str(j) for j in range(len(sigma))]
+        if set(rates) != set(indices):
+            _fail("invalid_config", "config.tempering.rates must map every atom index to a rate")
+        rates = [rates[j] for j in indices]
+    if spec_class is NoTempering:
+        tempering = spec_class(model.alpha)
+    else:
+        tempering = spec_class(model.alpha, rates, sigma)
+    seed = seed_override if seed_override is not None else pc["seed"]
+    if seed is None:
+        _fail("invalid_config", "a seed is required (config.plan.seed or --seed)")
+    plan = engine.WalkPlan(n=pc["n"], replicates=pc["replicates"], seed=seed,
+                           centering=pc["centering"], v_override=pc["v_override"],
+                           time_grid=pc["time_grid"])
     if plan.centering == engine.CENTER_JUMP_MEAN and model.alpha <= 1.0:
         _fail("mean_undefined", "jump_mean centering needs alpha > 1")
     return sigma, model, tempering, plan
@@ -193,6 +88,11 @@ def _fmt(x):
 def _columns(values):
     """The columns of a 2-d array as _fmt strings, one format call per value."""
     return [map("{:.17g}".format, col.tolist()) for col in values.T]
+
+
+def _write_csv(path, header, table):
+    rows = map(",".join, zip(*_columns(table)))
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
 def _write_samples(path, batch):
@@ -233,31 +133,9 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_cf_table(path, cf, dist):
-    d = cf.points.shape[1]
-    header = (
-        ",".join(f"lambda_{i + 1}" for i in range(d))
-        + ",re_emp,im_emp,re_theory,im_theory,abs_err"
-    )
-    lines = [header]
-    for row, emp, theo, err in zip(cf.points, cf.values, dist.theory, dist.per_point):
-        lines.append(
-            ",".join(_fmt(v) for v in row)
-            + f",{_fmt(emp.real)},{_fmt(emp.imag)},{_fmt(theo.real)},{_fmt(theo.imag)},{_fmt(err)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _check(test, parameters, statistic, threshold, passed, **extra):
-    rec = {
-        "test": test,
-        "parameters": parameters,
-        "statistic": statistic,
-        "threshold": threshold,
-        "pass": bool(passed),
-    }
-    rec.update(extra)
-    return rec
+    return {"test": test, "parameters": parameters, "statistic": statistic,
+            "threshold": threshold, "pass": bool(passed), **extra}
 
 
 def _write_report(out, stamp, checks):
@@ -300,58 +178,39 @@ def _read_samples(path, dimension):
 
 def _cmd_cf_check(cfg, out, seed, threads, stamp):
     sigma, model, tempering, plan = _build_all(cfg, seed)
-    cc = _object(cfg.get("cf_check", {}), "cf_check")
-    convention = cc.get("convention", analytics.TRUNCATED)
-    gc = _object(cc.get("grid", {}), "cf_check.grid")
-    with _config_values("cf_check"):
-        threshold = float(cc.get("threshold", 0.05))
-        grid = analytics.default_cf_grid(
-            sigma.dimension,
-            lo=float(gc.get("lo", -5.0)),
-            hi=float(gc.get("hi", 5.0)),
-            points=int(gc.get("points", 201)),
-        )
-        drift = cc.get("drift")
-        drift = None if drift is None else np.asarray(drift, dtype=float)
-    try:
-        exponent = analytics.LevyExponent(model.alpha, sigma, tempering, convention)
-    except ValueError as exc:
-        _fail("invalid_config", f"bad convention: {exc}")
-    if cc.get("self_test"):
+    cc, gc = cfg["cf_check"], cfg["cf_check"]["grid"]
+    grid = analytics.default_cf_grid(sigma.dimension, gc["lo"], gc["hi"], gc["points"])
+    exponent = analytics.LevyExponent(model.alpha, sigma, tempering, cc["convention"])
+    if cc["self_test"]:
         # One evaluation serves as both sides of the comparison.
         psi = exponent.eval_grid(grid)
-        if drift is not None:
-            psi = psi + 1j * (grid @ drift)
+        if cc["drift"] is not None:
+            psi = psi + 1j * (grid @ np.asarray(cc["drift"]))
         cf = analytics.CFGrid(points=grid, values=np.exp(psi))
         dist = analytics.cf_distance(cf, psi)
     else:
-        if cc.get("samples"):
+        if cc["samples"]:
             samples = _read_samples(cc["samples"], sigma.dimension)
         else:
             samples = engine.simulate_rowsum(plan, model, tempering, threads=threads)
         cf = analytics.empirical_cf(samples, grid)
-        dist = analytics.cf_distance(cf, exponent, drift=drift)
-    _write_cf_table(out / "cf_table.csv", cf, dist)
+        dist = analytics.cf_distance(cf, exponent, drift=cc["drift"])
+    header = (",".join(f"lambda_{i + 1}" for i in range(sigma.dimension))
+              + ",re_emp,im_emp,re_theory,im_theory,abs_err")
+    _write_csv(out / "cf_table.csv", header, np.column_stack([
+        cf.points, cf.values.real, cf.values.imag,
+        dist.theory.real, dist.theory.imag, dist.per_point]))
+    threshold = cc["threshold"]
     return _write_report(out, stamp, [_check(
-        "cf_check", {"convention": convention, "exponent": exponent.method,
+        "cf_check", {"convention": cc["convention"], "exponent": exponent.method,
                      "n": plan.n, "replicates": plan.replicates, "seed": plan.seed},
         dist.sup_abs, threshold, dist.sup_abs <= threshold)])
 
 
-def _diag_vague(cfg_entry, model, tempering, plan):
-    with _config_values("vague_convergence diagnostic"):
-        sectors = []
-        for sc in _need(cfg_entry, "sectors", "vague_convergence diagnostic"):
-            sc = _object(sc, "sector")
-            r_hi = sc.get("r_hi")
-            sectors.append(analytics.Sector(
-                r_lo=float(_need(sc, "r_lo", "sector")),
-                r_hi=float("inf") if r_hi in (None, "inf") else float(r_hi),
-                atoms=tuple(sc["atoms"]) if sc.get("atoms") is not None else None,
-            ))
-        n = int(cfg_entry.get("n", plan.n))
-        draws = int(cfg_entry.get("draws", 10 ** 6))
-        rel_tol = float(cfg_entry.get("rel_tol", 0.05))
+def _diag_vague(entry, model, tempering, plan):
+    sectors = [analytics.Sector(sc["r_lo"], sc["r_hi"], sc["atoms"]) for sc in entry["sectors"]]
+    n = plan.n if entry["n"] is None else entry["n"]
+    draws, rel_tol = entry["draws"], entry["rel_tol"]
     rows = analytics.vague_convergence_table(
         model, tempering, n, sectors, draws, seed=plan.seed)
     checks = []
@@ -368,11 +227,10 @@ def _diag_vague(cfg_entry, model, tempering, plan):
     return checks
 
 
-def _diag_uan(cfg_entry, model, tempering, plan):
-    with _config_values("uan diagnostic"):
-        deltas = [float(d) for d in cfg_entry.get("deltas") or np.geomspace(0.05, 1.0, 9)]
-        n = int(cfg_entry.get("n", plan.n))
-        band = float(cfg_entry.get("band", 0.15))
+def _diag_uan(entry, model, tempering, plan):
+    deltas = np.geomspace(0.05, 1.0, 9) if entry["deltas"] is None else entry["deltas"]
+    n = plan.n if entry["n"] is None else entry["n"]
+    band = entry["band"]
     profile = analytics.uan_profile(model, tempering, n, deltas)
     target = 2.0 - model.alpha
     passed = abs(profile.slope - target) <= band
@@ -384,12 +242,10 @@ def _diag_uan(cfg_entry, model, tempering, plan):
     )]
 
 
-def _diag_regularity(cfg_entry, model, tempering):
-    with _config_values("regularity diagnostic"):
-        beta = float(_need(cfg_entry, "beta", "regularity diagnostic"))
-        report = tempering.verify_regularity(beta)
+def _diag_regularity(entry, model, tempering, plan):
+    report = tempering.verify_regularity(entry["beta"])
     return [_check(
-        "tempering_regularity", {"beta": beta, "sup_value": report.sup_value},
+        "tempering_regularity", {"beta": entry["beta"], "sup_value": report.sup_value},
         report.sup_value, None, report.bounded,
     )]
 
@@ -397,19 +253,8 @@ def _diag_regularity(cfg_entry, model, tempering):
 def _cmd_diagnose(cfg, out, seed, threads, stamp):
     _, model, tempering, plan = _build_all(cfg, seed)
     checks = []
-    entries = cfg.get("diagnostics", [])
-    if not isinstance(entries, list):
-        _fail("invalid_config", "diagnostics must be a list")
-    for entry in entries:
-        kind = _need(_object(entry, "diagnostics entry"), "type", "diagnostics entry")
-        if kind == "vague_convergence":
-            checks.extend(_diag_vague(entry, model, tempering, plan))
-        elif kind == "uan":
-            checks.extend(_diag_uan(entry, model, tempering, plan))
-        elif kind == "regularity":
-            checks.extend(_diag_regularity(entry, model, tempering))
-        else:
-            _fail("invalid_config", f"unknown diagnostic type {kind!r}")
+    for entry in cfg["diagnostics"]:
+        checks.extend(_DIAGNOSTICS[entry["type"]][1](entry, model, tempering, plan))
     return _write_report(out, stamp, checks)
 
 
@@ -417,26 +262,14 @@ def _cmd_density(cfg, out, seed, threads, stamp):
     sigma, model, tempering, plan = _build_all(cfg, seed)
     if sigma.dimension != 1:
         _fail("dimension_unsupported", "density inversion is 1-d only")
-    dc = _object(cfg.get("density", {}), "density")
-    convention = dc.get("convention", analytics.TRUNCATED)
-    gc = _object(dc.get("x", {}), "density.x")
-    with _config_values("density"):
-        x = np.linspace(float(gc.get("lo", -10.0)), float(gc.get("hi", 10.0)),
-                        int(gc.get("points", 201)))
-        threshold = float(dc.get("mass_defect_tol", 1e-4))
-        drift = dc.get("drift")
-        drift = None if drift is None else np.asarray(drift, dtype=float)
-    try:
-        exponent = analytics.LevyExponent(model.alpha, sigma, tempering, convention)
-    except ValueError as exc:
-        _fail("invalid_config", f"bad convention: {exc}")
-    result = analytics.density_1d(exponent, drift, x)
-    lines = ["x,density"]
-    for xi, di in zip(result.x, result.density):
-        lines.append(f"{_fmt(xi)},{_fmt(di)}")
-    (out / "density.csv").write_text("\n".join(lines) + "\n")
+    dc, xc = cfg["density"], cfg["density"]["x"]
+    x = np.linspace(xc["lo"], xc["hi"], xc["points"])
+    exponent = analytics.LevyExponent(model.alpha, sigma, tempering, dc["convention"])
+    result = analytics.density_1d(exponent, dc["drift"], x)
+    _write_csv(out / "density.csv", "x,density", np.column_stack([result.x, result.density]))
+    threshold = dc["mass_defect_tol"]
     return _write_report(out, stamp, [_check(
-        "density_mass", {"convention": convention, "exponent": exponent.method,
+        "density_mass", {"convention": dc["convention"], "exponent": exponent.method,
                          "window": result.window, "clipped_mass": result.clipped_mass},
         result.mass_defect, threshold, result.mass_defect <= threshold)])
 
@@ -448,6 +281,137 @@ _COMMANDS = {
     "diagnose": _cmd_diagnose,
     "density": _cmd_density,
 }
+
+
+# ------------------------------------------------------------ config schema
+
+_REQUIRED = object()
+
+_SCALARS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _read(value, spec, path):
+    """``value`` checked against ``spec`` at the JSON path ``path``, with
+    defaults filled in; every mismatch is an ``invalid_config`` error.
+
+    A spec is a dict (an object with exactly those keys; a field written
+    ``(spec, default)`` is optional, and null stands for a default of None),
+    ``[spec]`` (a list of such items), a set of strings (one of them), one of
+    the types of ``_SCALARS`` or a reader ``f(value, path)``.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            _fail("invalid_config", f"{path} must be an object")
+        for key in sorted(value.keys() - spec.keys()):
+            _fail("invalid_config", f"{path}.{key} is not a config field")
+        out = {}
+        for key, field in spec.items():
+            field, default = field if isinstance(field, tuple) else (field, _REQUIRED)
+            item = value.get(key, default)
+            if item is _REQUIRED:
+                _fail("invalid_config", f"{path}.{key} is required")
+            unset = item is None and default is None
+            out[key] = None if unset else _read(item, field, f"{path}.{key}")
+        return out
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            _fail("invalid_config", f"{path} must be a list")
+        return [_read(item, spec[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    if isinstance(spec, set):
+        if not (isinstance(value, str) and value in spec):
+            _fail("invalid_config", f"{path} must be one of {', '.join(sorted(spec))}")
+        return value
+    if spec not in _SCALARS:
+        return spec(value, path)
+    # JSON gives exact types, so true is a bool and not an int; a float field
+    # takes integers too, but not NaN, the infinities or integers past them
+    kinds = (int, float) if spec is float else (spec,)
+    if type(value) not in kinds or (spec is float and not abs(value) <= sys.float_info.max):
+        _fail("invalid_config", f"{path} must be {_SCALARS[spec]}")
+    return float(value) if spec is float else value
+
+
+def _radial(value, path):
+    """model.radial: "exact_pareto", or a {"scales", "weights"} mixture."""
+    if isinstance(value, dict):
+        mix = _read(value, {"scales": [float], "weights": [float]}, path)
+        return MixedScalePareto(tuple(mix["scales"]), tuple(mix["weights"]))
+    return _read(value, {EXACT_PARETO}, path)
+
+
+def _rates(value, path):
+    """tempering.rates: one rate for every atom, or {"atom index": rate}."""
+    if isinstance(value, dict):
+        return {key: _read(rate, float, f"{path}.{key}") for key, rate in value.items()}
+    return _read(value, float, path)
+
+
+def _r_hi(value, path):
+    """A sector's r_hi: a number, or "inf"."""
+    return math.inf if value == "inf" else _read(value, float, path)
+
+
+def _diagnostic(value, path):
+    """A diagnostics entry, read by the schema of its ``type``."""
+    kind = value.get("type") if isinstance(value, dict) else None
+    _read(kind, set(_DIAGNOSTICS), f"{path}.type")
+    return _read(value, _DIAGNOSTICS[kind][0], path)
+
+
+# type -> (schema of a diagnostics entry, handler(entry, model, tempering, plan))
+_DIAGNOSTICS = {
+    "vague_convergence": ({
+        "type": str, "n": (int, None), "draws": (int, 10 ** 6), "rel_tol": (float, 0.05),
+        "sectors": [{"r_lo": float, "r_hi": (_r_hi, "inf"), "atoms": ([int], None)}],
+    }, _diag_vague),
+    "uan": ({"type": str, "n": (int, None), "deltas": ([float], None),
+             "band": (float, 0.15)}, _diag_uan),
+    "regularity": ({"type": str, "beta": float}, _diag_regularity),
+}
+
+_CONVENTIONS = {analytics.TRUNCATED, analytics.MEAN_ZERO, analytics.DRIFT_FREE}
+
+# The whole config file.  custom_q is a library-level family: its q is code.
+_CONFIG = {
+    "sigma": [{"direction": [float], "weight": float}],
+    "model": {"alpha": float, "x_m": (float, 1.0), "radial": (_radial, EXACT_PARETO)},
+    "tempering": {"family": set(FAMILIES) - {CUSTOM_Q}, "rates": (_rates, None),
+                  "alpha": (float, None)},
+    "plan": {
+        "n": int, "replicates": int, "seed": (int, None),
+        "centering": ({engine.CENTER_NONE, engine.CENTER_TRUNCATED_MEAN,
+                       engine.CENTER_JUMP_MEAN}, engine.CENTER_NONE),
+        "v_override": (float, None), "time_grid": ([float], None),
+    },
+    "cf_check": ({
+        "convention": (_CONVENTIONS, analytics.TRUNCATED), "threshold": (float, 0.05),
+        "grid": ({"lo": (float, -5.0), "hi": (float, 5.0), "points": (int, 201)}, {}),
+        "self_test": (bool, False), "samples": (str, None), "drift": ([float], None),
+    }, {}),
+    "diagnostics": ([_diagnostic], []),
+    "density": ({
+        "convention": (_CONVENTIONS, analytics.TRUNCATED),
+        "x": ({"lo": (float, -10.0), "hi": (float, 10.0), "points": (int, 201)}, {}),
+        "mass_defect_tol": (float, 1e-4), "drift": ([float], None),
+    }, {}),
+    "outputs": (str, "."),
+}
+
+
+def _load_config(path):
+    """The config read by _CONFIG, and the provenance keys of every
+    meta/report.json."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        _fail("config_unreadable", f"cannot read config file: {exc}")
+    try:
+        cfg = json.loads(data.decode())
+    except json.JSONDecodeError as exc:
+        _fail("invalid_config", f"config is not valid JSON: {exc}")
+    stamp = {"rng_layout": engine.RNG_LAYOUT, "version": __version__,
+             "config_sha256": hashlib.sha256(data).hexdigest()}
+    return _read(cfg, _CONFIG, "config"), stamp
 
 
 # -------------------------------------------------------------- entrypoint
@@ -478,10 +442,10 @@ def run(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         cfg, stamp = _load_config(args.config)
-        out = Path(args.out) if args.out else Path(cfg.get("outputs", "."))
-        out.mkdir(parents=True, exist_ok=True)
         if args.threads < 1:
             _fail("invalid_config", "--threads must be at least 1")
+        out = Path(args.out) if args.out else Path(cfg["outputs"])
+        out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed, args.threads, stamp)
     except ConfigError as exc:
         _emit_error(exc.code, str(exc))

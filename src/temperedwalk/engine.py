@@ -159,26 +159,18 @@ def tempering_threshold(model: JumpModel, n, v_override=None):
 def centering_truncated_mean(model, spec, n, v, mc_draws=10 ** 6, seed=0):
     """Truncated-mean centering a_n = n * E[X 1(||X|| < 1)], X = Y/v.
 
-    With Z = min(R/v, T) and S_R the radius survival function,
-
-        E[Z 1(Z <= 1)] = integral_0^1 S_R(v*u) pi(u, s) du - S_R(v) pi(1, s),
-
-    so the quadrature method needs one finite integral per atom.  A family
-    whose pi is itself a quadrature (``spec.pi_by_quadrature``) takes Monte
-    Carlo over fresh tempered jumps on an auxiliary stream instead.
+    The quadrature method takes E[Z 1(Z <= 1)] per atom from
+    ``_truncated_moment``.  A family whose pi is itself a quadrature
+    (``spec.pi_by_quadrature``) takes Monte Carlo over fresh tempered jumps
+    on an auxiliary stream instead.
     """
     sigma = model.sigma
-    spec.check_sigma(sigma)
+    spec.check_law(model.alpha, sigma)
     mass = sigma.total_mass()
     if not spec.pi_by_quadrature:
-        breaks = sorted(float(c) / v for c in model.radius_scales)
         total = np.zeros(sigma.dimension)
         for j in range(len(sigma)):
-            integral = adaptive_quad(
-                lambda u: model.radius_survival(v * u) * spec.pi(u, j),
-                0.0, 1.0, points=breaks,
-            )
-            term = integral - model.radius_survival(v) * spec.pi(1.0, j)
+            term = _truncated_moment(model, spec, v, j, 1, 1.0)
             total += sigma.weights[j] * term * sigma.directions[j]
         return TruncatedMeanResult(n * total / mass, 0.0, "quadrature")
 
@@ -195,6 +187,21 @@ def centering_truncated_mean(model, spec, n, v, mc_draws=10 ** 6, seed=0):
     var = acc_sq / mc_draws - mean * mean
     se = float(n * np.sqrt(var.max() / mc_draws))
     return TruncatedMeanResult(n * mean, se, "monte_carlo")
+
+
+def _truncated_moment(model, spec, v, j, p, delta):
+    """E[Z^p 1(Z <= delta)] of atom j, Z = min(R/v, T), with S_R the radius
+    survival function:
+
+        p int_0^delta u^(p-1) S_R(v u) pi(u, s_j) du - delta^p S_R(v delta) pi(delta, s_j),
+
+    one quadrature broken at the kinks of S_R (the powers are exact at p = 1).
+    """
+    integral = adaptive_quad(
+        lambda u: u ** (p - 1) * model.radius_survival(v * u) * spec.pi(u, j),
+        0.0, delta, points=[float(c) / v for c in model.radius_scales],
+    )
+    return p * integral - delta ** p * model.radius_survival(v * delta) * spec.pi(delta, j)
 
 
 def centering_vector(plan: WalkPlan, model, spec, v):
@@ -257,9 +264,7 @@ def _run_replicates(worker, replicates, seed, threads):
 def _validate(plan, model, spec):
     if plan.centering == CENTER_JUMP_MEAN and model.alpha <= 1.0:
         raise ValueError("mean does not exist for alpha <= 1")
-    if abs(model.alpha - spec.alpha) > 1e-12:
-        raise ValueError("jump model and tempering disagree on alpha")
-    spec.check_sigma(model.sigma)
+    spec.check_law(model.alpha, model.sigma)
 
 
 def _simulate(plan, model, spec, threads, times):

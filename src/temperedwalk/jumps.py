@@ -93,8 +93,9 @@ class JumpModel:
             return self._scales[0] * (1.0 - u) ** (-1.0 / self.alpha)
         comp = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
         lo = np.concatenate(([0.0], self._cum))[comp]
-        local = (u - lo) / self._probs[comp]
-        # 1 - local lies in (0, 1], so the power below is finite.
+        # Weights that sum to 1 only within 1e-9 let the last component's
+        # local uniform pass 1; capped below 1, the power below is finite.
+        local = np.minimum((u - lo) / self._probs[comp], np.nextafter(1.0, 0.0))
         return self._scales[comp] * (1.0 - local) ** (-1.0 / self.alpha)
 
     def norming_b(self, n):

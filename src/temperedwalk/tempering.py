@@ -146,10 +146,12 @@ class TemperingSpec:
             return self._rates
         return self._rates[self._index(j)]
 
-    def check_sigma(self, sigma):
-        """Raise ValueError unless the atoms of ``sigma`` are the ones this
-        spec indexes: always true for scalar rates, and for a bound spec
-        only when ``sigma`` equals the bound measure."""
+    def check_law(self, alpha, sigma):
+        """Raise ValueError unless this spec tempers the law of index ``alpha``
+        (to 1e-12) on the atoms of ``sigma``: any ``sigma`` for scalar rates,
+        and for a bound spec only one equal to the bound measure."""
+        if abs(alpha - self.alpha) > 1e-12:
+            raise ValueError(f"tempering has alpha {self.alpha}, the law {alpha}")
         if self.sigma is not None and self.sigma != sigma:
             raise ValueError("tempering is bound to another spectral measure")
 

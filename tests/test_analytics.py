@@ -403,6 +403,18 @@ def test_levy_mass_rejects_atoms_outside_sigma():
             levy_mass(1.5, TWO, eq, 0.5, 4.0, atoms=atoms)
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: levy_mass(1.2, ONE, spec, 1.0, 3.0),
+    lambda spec: tempered_mean(1.6, ONE, spec),
+    lambda spec: shift_theta(1.6, ONE, spec),
+    lambda spec: tail_first_moment(1.2, ONE, spec),
+], ids=["levy_mass", "tempered_mean", "shift_theta", "tail_first_moment"])
+def test_alpha_other_than_the_temperings_is_rejected(call):
+    # each once returned a number for a law the spec does not temper
+    with pytest.raises(ValueError, match="alpha"):
+        call(TemperingSpec.conditionally_exponential(1.5, 1.0))
+
+
 # -------------------------------------------------------------- empirical CF
 
 
@@ -502,6 +514,18 @@ def test_vague_convergence_tempered_sector_and_atoms():
     assert rows[1].target == pytest.approx(0.7 * math.exp(-1.0), rel=1e-9)
     for row in rows:
         assert abs(row.estimate - row.target) <= 5.0 * row.std_error
+
+
+def test_empty_diagnostics_are_errors():
+    # no draws once gave a NaN estimate that passed; no sectors, no check
+    m = JumpModel(0.7, TWO)
+    ce = TemperingSpec.conditionally_exponential(0.7, 1.0, TWO)
+    with pytest.raises(ValueError, match="draws"):
+        vague_convergence_table(m, ce, 100, [Sector(1.0, 2.0)], draws=0)
+    with pytest.raises(ValueError, match="sector"):
+        vague_convergence_table(m, ce, 100, [], draws=10)
+    with pytest.raises(ValueError, match="delta"):
+        uan_profile(m, ce, 100, [])
 
 
 def test_uan_profile_slope_no_tempering_closed_form():

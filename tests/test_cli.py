@@ -1,15 +1,19 @@
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import temperedwalk
 from temperedwalk import analytics, cli
@@ -402,7 +406,8 @@ DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
 def _assert_demo_config_error(tmp_path, command, section, value):
-    # The console entry point on configs/demo.json with one section replaced.
+    """The console entry point on configs/demo.json with one section replaced
+    exits 2 with one JSON line on stderr; returns the error message."""
     cfg = json.loads(DEMO.read_text())
     cfg[section] = value
     argv, env = _console_command()
@@ -412,8 +417,10 @@ def _assert_demo_config_error(tmp_path, command, section, value):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["code"] == "invalid_config"
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == "invalid_config"
     assert "Traceback" not in proc.stderr
+    return error["message"]
 
 
 @pytest.mark.parametrize("command, section, value", [
@@ -426,12 +433,46 @@ def test_section_that_is_not_an_object_is_a_config_error(tmp_path, command, sect
     _assert_demo_config_error(tmp_path, command, section, value)
 
 
-@pytest.mark.parametrize("command, section, value", [
-    ("cf-check", "cf_check", {"grid": {"lo": [1]}}),
-    ("diagnose", "diagnostics", [{"type": "vague_convergence", "sectors": 5}]),
-], ids=["cf_check.grid.lo", "vague_convergence.sectors"])
-def test_value_of_the_wrong_type_is_a_config_error(tmp_path, command, section, value):
-    _assert_demo_config_error(tmp_path, command, section, value)
+_PLAN = {"n": 400, "replicates": 200, "seed": 42}
+
+
+@pytest.mark.parametrize("command, section, value, path", [
+    ("cf-check", "cf_check", {"grid": {"lo": [1]}}, "config.cf_check.grid.lo"),
+    ("diagnose", "diagnostics", [{"type": "vague_convergence", "sectors": 5}],
+     "config.diagnostics[0].sectors"),
+    ("simulate", "plan", {**_PLAN, "n": 2.7}, "config.plan.n"),
+    ("simulate", "plan", {**_PLAN, "n": True}, "config.plan.n"),
+    ("simulate", "plan", {**_PLAN, "n": math.inf}, "config.plan.n"),
+    ("simulate", "tempering", {"family": "conditionally_exponential", "rates": [[1.0]]},
+     "config.tempering.rates"),
+    ("simulate", "tempering", {"family": "conditionally_exponential", "rates": True},
+     "config.tempering.rates"),
+    ("cf-check", "cf_check", {"self_test": "no"}, "config.cf_check.self_test"),
+    ("simulate", "plan", {**_PLAN, "centring": "jump_mean"}, "config.plan.centring"),
+    ("simulate", "sigma", {"atoms": BASE["sigma"]}, "config.sigma"),
+], ids=["cf_check.grid.lo", "vague_convergence.sectors", "plan.n_float", "plan.n_true",
+        "plan.n_infinity", "rates_nested_list", "rates_true", "self_test_string",
+        "unknown_key", "sigma_atoms_object"])
+def test_value_of_the_wrong_type_is_a_config_error(tmp_path, command, section, value, path):
+    message = _assert_demo_config_error(tmp_path, command, section, value)
+    assert message.startswith(path + " ")
+    assert not (tmp_path / "out").exists()  # read before any output
+
+
+def test_malformed_last_diagnostic_stops_before_any_diagnostic_runs(tmp_path, capsys,
+                                                                    monkeypatch):
+    def not_reached(*args, **kwargs):
+        pytest.fail("a diagnostic ran before the config was read")
+
+    monkeypatch.setattr(analytics, "uan_profile", not_reached)
+    monkeypatch.setattr(analytics, "vague_convergence_table", not_reached)
+    cfg = json.loads(DEMO.read_text())
+    cfg["diagnostics"].append({"type": "regularity", "beta": "1.9"})
+    out = tmp_path / "out"
+    rc = cli.run(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    assert _stderr_code(capsys) == "invalid_config"
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("drift", [[], [0.5, 7.0]], ids=["empty", "two_values"])
@@ -543,3 +584,100 @@ def test_rng_layout_output_bytes_are_pinned(tmp_path, law):
     assert tuple(got) == _PIN_SHA256[law], (
         f"{law}: output bytes changed at RNG_LAYOUT {cli.engine.RNG_LAYOUT}; "
         "bump `RNG_LAYOUT` if this change of bits is intended")
+
+
+# ------------------------------------------------------------ config fuzzing
+
+# A small valid config that sets every field.  Its counts stay at 50 or less
+# and the fuzzed integers below do too, so no valid document allocates much.
+_FUZZ_BASE = {
+    "sigma": [{"direction": [1.0], "weight": 0.7}, {"direction": [-1.0], "weight": 0.3}],
+    "model": {"alpha": 1.5, "x_m": 1.0,
+              "radial": {"scales": [1.0, 2.0], "weights": [0.5, 0.5]}},
+    "tempering": {"family": "conditionally_exponential", "rates": {"0": 1.0, "1": 2.0},
+                  "alpha": 1.5},
+    "plan": {"n": 20, "replicates": 10, "seed": 1, "centering": "truncated_mean",
+             "v_override": None, "time_grid": [0.5, 1.0]},
+    "cf_check": {"convention": "truncated", "threshold": 0.5,
+                 "grid": {"lo": -2.0, "hi": 2.0, "points": 5},
+                 "self_test": False, "samples": None, "drift": [0.0]},
+    "diagnostics": [
+        {"type": "vague_convergence", "n": 20, "draws": 50, "rel_tol": 0.5,
+         "sectors": [{"r_lo": 1.0, "r_hi": "inf", "atoms": [0]}]},
+        {"type": "uan", "n": 20, "deltas": [0.5, 1.0], "band": 0.5},
+        {"type": "regularity", "beta": 1.9},
+    ],
+    "density": {"convention": "mean_zero", "x": {"lo": -5.0, "hi": 5.0, "points": 11},
+                "mass_defect_tol": 0.5, "drift": [0.0]},
+    "outputs": "out",
+}
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _schema_strings(spec):
+    """Every string a schema names: keys, choices and defaults."""
+    if isinstance(spec, str):
+        yield spec
+    elif isinstance(spec, dict):
+        for key, field in spec.items():
+            yield key
+            yield from _schema_strings(field)
+    elif isinstance(spec, (list, tuple, set)):
+        for field in spec:
+            yield from _schema_strings(field)
+
+
+# no_tempering is left out: its exponent is per-point quadrature, about 50 ms
+# a point, and one density call takes at least 513 points.  The same path
+# serves every family within 1e-3 of alpha = 1, so such floats are left out.
+# The mixture's keys sit in a reader function, so they are named here.
+_FUZZ_STRINGS = sorted(
+    set(_schema_strings(cli._CONFIG))
+    | {s for kind, (schema, _) in cli._DIAGNOSTICS.items()
+       for s in (kind, *_schema_strings(schema))}
+    | {"scales", "weights", "", "-1", "0"})
+_FUZZ_STRINGS.remove("no_tempering")
+_fuzz_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 50)
+    | st.floats(-50.0, 50.0).filter(lambda x: abs(x - 1.0) >= 1e-3)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.sampled_from(_FUZZ_STRINGS) | st.text(max_size=4)
+)
+_fuzz_values = st.recursive(_fuzz_scalars, lambda inner: (
+    st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FUZZ_STRINGS) | st.text(max_size=3), inner,
+                      max_size=3)), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(list(_json_paths(_FUZZ_BASE))), value=_fuzz_values)
+def test_fuzzed_config_keeps_the_exit_contract(path, value):
+    """One value of a valid config replaced by any JSON value: every
+    subcommand exits 0-3, codes 2 and 3 print one JSON line on stderr, and
+    nothing prints a traceback."""
+    cfg = json.loads(json.dumps(_FUZZ_BASE))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        for command in cli._COMMANDS:
+            err, out = io.StringIO(), io.StringIO()
+            with redirect_stderr(err), redirect_stdout(out):
+                rc = cli.run([command, "--config", str(config), "--out",
+                              str(Path(tmp) / command)])
+            assert rc in (0, 1, 2, 3), (command, rc)
+            if rc >= 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, lines
+            assert "Traceback" not in err.getvalue() + out.getvalue()

@@ -94,6 +94,16 @@ def test_single_scale_radius_has_the_general_bits(radial, alpha):
     assert np.all(np.isfinite(r))
 
 
+@pytest.mark.parametrize("scales, weights", [((1.0,), (1.0 - 5e-10,)),
+                                             ((1.0, 3.0), (0.5, 0.5 - 5e-10))],
+                         ids=["one_scale", "two_scales"])
+def test_mixture_radius_is_finite_when_weights_sum_just_short_of_one(scales, weights):
+    """Weights may sum to 1 within 1e-9; the last uniforms still give a radius."""
+    m = JumpModel(1.5, ONE, radial=MixedScalePareto(scales, weights))
+    r = m._radius_from_uniform(np.array([1.0 - 1e-10, np.nextafter(1.0, 0.0)]))
+    assert np.all(np.isfinite(r)) and np.all(r >= scales[-1])
+
+
 def test_mean_radius_and_jump():
     m = JumpModel(1.5, TWO, x_m=2.0)
     assert m.mean_radius() == pytest.approx(3.0 * 2.0)  # alpha/(alpha-1) * x_m
