@@ -470,6 +470,13 @@ def vague_convergence_table(model: JumpModel, tempering: TemperingSpec, n,
         raise ValueError("vague_convergence_table needs draws >= 1 and a sector")
     sigma = model.sigma
     tempering.check_law(model.alpha, sigma)
+    targets = []
+    for si, sec in enumerate(sectors):  # first, so that a bad sector wastes no draw
+        try:
+            targets.append(levy_mass(model.alpha, sigma, tempering, sec.r_lo, sec.r_hi, sec.atoms))
+        except OverflowError:
+            raise OverflowError(
+                f"sector {si}: Lévy mass above r_lo = {sec.r_lo!r} overflows") from None
     v = tempering_threshold(model, n)
     hits = np.zeros(len(sectors), dtype=np.int64)
     for idx, rad in _aux_jumps(model, tempering, v, draws, seed, 2):
@@ -480,11 +487,9 @@ def vague_convergence_table(model: JumpModel, tempering: TemperingSpec, n,
                 mask &= np.isin(idx, sec.atoms)
             hits[si] += int(mask.sum())
     rows = []
-    for si, sec in enumerate(sectors):
+    for si, (sec, target) in enumerate(zip(sectors, targets)):
         p_hat = hits[si] / draws
         est = n * p_hat
-        target = levy_mass(model.alpha, sigma, tempering, sec.r_lo, sec.r_hi,
-                           atoms=sec.atoms)
         rel = abs(est - target) / target if target > 0 else math.inf
         se = n * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / draws)
         rows.append(VagueRow(sec, int(hits[si]), est, target, rel, se,

@@ -8,8 +8,8 @@ Subcommands map to the library's experiment layers: ``simulate`` (row sums),
 bytes.
 
 Exit codes: 0 success, 1 a diagnostic check failed, 2 config/usage error,
-3 numeric (quadrature/inversion) failure or any other internal error.  Codes
-2 and 3 print one JSON line on stderr.
+3 numeric (quadrature/inversion/overflow) failure or any other internal error.
+Codes 2 and 3 print one JSON line on stderr, with the run's Python warnings.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import traceback
+import warnings
 from itertools import repeat
 from pathlib import Path
 
@@ -81,12 +82,8 @@ def _build_all(cfg, seed_override):
 # ---------------------------------------------------------------- writers
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _columns(values):
-    """The columns of a 2-d array as _fmt strings, one format call per value."""
+    """The columns of a 2-d array as .17g strings, one format call per value."""
     return [map("{:.17g}".format, col.tolist()) for col in values.T]
 
 
@@ -105,7 +102,7 @@ def _write_samples(path, batch):
 def _write_paths(path, batches):
     d = batches[0].dimension
     header = "replicate,t," + ",".join(f"x_{i + 1}" for i in range(d))
-    per_time = [map(",".join, zip(repeat(_fmt(b.t)), *_columns(b.values))) for b in batches]
+    per_time = [map(",".join, zip(repeat(f"{b.t:.17g}"), *_columns(b.values))) for b in batches]
     rows = (f"{i},{row}" for i, at_i in enumerate(zip(*per_time)) for row in at_i)
     Path(path).write_text("\n".join([header, *rows]) + "\n")
 
@@ -435,41 +432,51 @@ def _parser():
 
 
 def run(argv=None):
+    """Run one subcommand; returns its exit code.  Python warnings print
+    after exit 0 or 1 and join the one JSON line of exit 2 or 3."""
+    with warnings.catch_warnings(record=True) as caught:
+        code, error = _run(argv)
+    if error:
+        _emit_error(*error, [f"{w.category.__name__}: {w.message}" for w in caught])
+    else:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(argv):
+    """(exit code, None or the (code, message) of an error)."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
-        return int(exc.code) if exc.code else 0
+        return (int(exc.code) if exc.code else 0), None
     try:
         cfg, stamp = _load_config(args.config)
         if args.threads < 1:
             _fail("invalid_config", "--threads must be at least 1")
         out = Path(args.out) if args.out else Path(cfg["outputs"])
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.seed, args.threads, stamp)
+        return _COMMANDS[args.command](cfg, out, args.seed, args.threads, stamp), None
     except ConfigError as exc:
-        _emit_error(exc.code, str(exc))
-        return 2
+        return 2, (exc.code, str(exc))
     except ArithmeticError as exc:
-        _emit_error("numeric", str(exc))
-        return 3
+        return 3, ("numeric", str(exc))
     except OSError as exc:
-        _emit_error("io", str(exc))
-        return 2
+        return 2, ("io", str(exc))
     except ValueError as exc:
         # library-level validation tripped by config-derived values
-        _emit_error("invalid_config", str(exc))
-        return 2
+        return 2, ("invalid_config", str(exc))
     except Exception as exc:
         # Keep the one-line contract; the innermost frame says where it broke.
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        _emit_error("internal", f"{type(exc).__name__}: {exc} "
-                                f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})")
-        return 3
+        return 3, ("internal", f"{type(exc).__name__}: {exc} "
+                               f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})")
 
 
-def _emit_error(code, message):
-    print(json.dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
+def _emit_error(code, message, caught):
+    extra = {"warnings": caught} if caught else {}
+    print(json.dumps({"error": {"code": code, "message": message, **extra}}), file=sys.stderr)
 
 
 def main():

@@ -20,9 +20,16 @@ and above, out of reach of any realistic replicate count.
 
 m jumps take one ``random((2 + spec.t_uniforms, m))`` block, filled row-major:
 row 0 picks the atom, row 1 the raw radius R, rows 2 on the tempering
-variable T.  ``RNG_LAYOUT`` 1 had three rows for every family; 2 gives
+variable T.  ``RNG_LAYOUT`` 1 had three rows for every family; 2 gave
 ``exponential_q`` and ``custom_q`` a fourth (T = V * U^(1/alpha), V from
-row 2, U from row 3), and leaves the others' draws unchanged.
+row 2, U from row 3); 3 gives ``no_tempering`` (T = +inf) two, which moves
+only auxiliary draws past the first chunk.
+
+The walk fills one buffer per block of about ``_BLOCK_CELLS`` uniforms, a
+slice per replicate stream; the jump source and one ``bincount`` per time
+over the bins (replicate, atom) then serve the block.  ``bincount`` adds
+each bin's weights in input order from 0.0, as a per-replicate sum does, so
+the bits depend on neither block size nor threads (one contiguous range each).
 """
 
 from __future__ import annotations
@@ -60,12 +67,16 @@ CENTER_JUMP_MEAN = "jump_mean"
 _CENTERINGS = (CENTER_NONE, CENTER_TRUNCATED_MEAN, CENTER_JUMP_MEAN)
 
 # Version of the uniform layout of _tempered_jumps (see the module docstring).
-RNG_LAYOUT = 2
+RNG_LAYOUT = 3
 
 # First stream index reserved for non-replicate randomness, and the most
 # jumps an auxiliary consumer draws from it in one block.
 _AUX_STREAM = 2 ** 63
 _AUX_CHUNK = 1_000_000
+
+# Uniforms per block of replicates in the walk: a block's temporaries stay
+# well under glibc's 128 KiB mmap threshold.  A longer replicate is a block.
+_BLOCK_CELLS = 4096
 
 
 def _stream_opener(seed):
@@ -217,12 +228,16 @@ def centering_vector(plan: WalkPlan, model, spec, v):
 # ------------------------------------------------------------ jump source
 
 
-def _tempered_jumps(model, spec, v, gen, m):
-    """Atom indices and tempered radii min(R, v*T) of m jumps drawn from ``gen``,
-    the only draw of jump uniforms: 2 + ``spec.t_uniforms`` rows (see above)."""
-    u = gen.random((2 + spec.t_uniforms, m))
+def _tempered_jumps(model, spec, v, u, m=None):
+    """Atom indices and tempered radii min(R, v*T): the only code that turns
+    jump uniforms into jumps.  ``u`` holds the 2 + ``spec.t_uniforms`` rows
+    (see above) on axis 0, any shape after, or is a generator to draw m jumps."""
+    if m is not None:
+        u = u.random((2 + spec.t_uniforms, m))
     idx = model.sigma._index_from_uniform(u[0])
     r = model._radius_from_uniform(u[1])
+    if not spec.t_uniforms:
+        return idx, r  # T = +inf
     # named, so v * t allocates: in place, it left malloc slower for later calls
     t = spec._t_from_uniform(u[2:], idx)
     return idx, np.minimum(r, v * t)
@@ -231,11 +246,8 @@ def _tempered_jumps(model, spec, v, gen, m):
 def _aux_jumps(model, spec, v, draws, seed, stream):
     """``draws`` tempered jumps from auxiliary stream ``stream``, in blocks."""
     gen = _stream_opener(seed)(_AUX_STREAM + stream)
-    left = int(draws)
-    while left > 0:
-        m = min(left, _AUX_CHUNK)
-        yield _tempered_jumps(model, spec, v, gen, m)
-        left -= m
+    for start in range(0, int(draws), _AUX_CHUNK):
+        yield _tempered_jumps(model, spec, v, gen, min(_AUX_CHUNK, int(draws) - start))
 
 
 # --------------------------------------------------------------- simulation
@@ -245,32 +257,12 @@ def _atom_sums(idx, rad, k):
     return np.bincount(idx, weights=rad, minlength=k)
 
 
-def _run_replicates(worker, replicates, seed, threads):
-    """worker(rep, gen) for every replicate, gen on stream (seed, rep); each
-    thread that runs replicates (the caller's, for one thread) re-keys its
-    own generator."""
-    def run(block):
-        open_stream = _stream_opener(seed)
-        for rep in block:
-            worker(rep, open_stream(rep))
-    if threads <= 1:
-        run(range(replicates))
-        return
-    chunks = np.array_split(np.arange(replicates), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, [chunk.tolist() for chunk in chunks]))
-
-
-def _validate(plan, model, spec):
-    if plan.centering == CENTER_JUMP_MEAN and model.alpha <= 1.0:
-        raise ValueError("mean does not exist for alpha <= 1")
-    spec.check_law(model.alpha, model.sigma)
-
-
 def _simulate(plan, model, spec, threads, times):
     """(1/v) S(floor(n t)) - t a_n per replicate and time, from one jump
     stream per replicate; also v, a_n and the elapsed time."""
-    _validate(plan, model, spec)
+    if plan.centering == CENTER_JUMP_MEAN and model.alpha <= 1.0:
+        raise ValueError("mean does not exist for alpha <= 1")
+    spec.check_law(model.alpha, model.sigma)
     started = time.perf_counter()
     v = tempering_threshold(model, plan.n, plan.v_override)
     center = centering_vector(plan, model, spec, v)
@@ -279,17 +271,31 @@ def _simulate(plan, model, spec, threads, times):
     cuts = [int(math.floor(plan.n * t)) for t in times]
     steps = list(enumerate(zip(cuts, [t * center for t in times])))
     n_jumps = max(max(cuts), 1)
+    rows = 2 + spec.t_uniforms
+    size = max(1, _BLOCK_CELLS // (rows * n_jumps))
     out = np.empty((plan.replicates, len(cuts), sigma.dimension))
 
-    def worker(rep, gen):
-        idx, rad = _tempered_jumps(model, spec, v, gen, n_jumps)
-        for ci, (c, shift) in steps:
-            if c == 0:
-                out[rep, ci] = -shift
-            else:
-                out[rep, ci] = _atom_sums(idx[:c], rad[:c], k) @ directions / v - shift
+    def run(first, stop):
+        # replicates first..stop-1, size at a time, with this thread's generator and buffer
+        open_stream = _stream_opener(plan.seed)
+        block = np.empty((min(size, stop - first), rows, n_jumps))
+        for lo in range(first, stop, size):
+            b = min(size, stop - lo)
+            for i in range(b):
+                open_stream(lo + i).random(out=block[i])
+            idx, rad = _tempered_jumps(model, spec, v, block[:b].transpose(1, 0, 2))
+            if b > 1:
+                idx = idx + k * np.arange(b)[:, None]  # bin of atom j in row i: i k + j
+            for ci, (c, shift) in steps:
+                sums = _atom_sums(idx[:, :c].ravel(), rad[:, :c].ravel(), b * k).reshape(b, k)
+                out[lo:lo + b, ci] = sums @ directions / v - shift if c else -shift
 
-    _run_replicates(worker, plan.replicates, plan.seed, threads)
+    if threads <= 1:
+        run(0, plan.replicates)
+    else:
+        edges = [plan.replicates * i // threads for i in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, edges[:-1], edges[1:]))
     return out, v, center, time.perf_counter() - started
 
 

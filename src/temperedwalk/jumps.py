@@ -70,10 +70,6 @@ class JumpModel:
         self._cum = cum
 
     @property
-    def dimension(self):
-        return self.sigma.dimension
-
-    @property
     def radius_scales(self):
         """Absolute Pareto scales of R; P(R > r) has a kink at each."""
         return self._scales

@@ -215,6 +215,7 @@ class NoTempering(TemperingSpec):
     """q = alpha: the raw heavy-tailed jump, T = +inf."""
 
     family = NO_TEMPERING
+    t_uniforms = 0  # T = +inf needs no uniform
 
     def _q(self, r, j):
         return np.full(r.shape, self.alpha)

@@ -78,7 +78,7 @@ def test_meta_and_report_carry_provenance(tmp_path):
     """meta.json and report.json name the RNG layout, the package version
     and the sha256 of the config file's bytes."""
     config = _write(tmp_path, _cfg(cf_check={"self_test": True, "grid": {"points": 11}}))
-    want = {"rng_layout": 2, "version": temperedwalk.__version__,
+    want = {"rng_layout": 3, "version": temperedwalk.__version__,
             "config_sha256": hashlib.sha256(Path(config).read_bytes()).hexdigest()}
     for command, name in (("simulate", "meta.json"), ("cf-check", "report.json")):
         assert cli.run([command, "--config", config, "--out", str(tmp_path / command)]) == 0
@@ -508,6 +508,50 @@ def test_diagnose_sector_over_six_decades(tmp_path, capsys):
     assert len(vague) == 1 and vague[0]["parameters"]["target"] > 0.0
 
 
+def test_sector_whose_mass_overflows_is_a_named_numeric_error(tmp_path, capsys):
+    """r_lo^(-alpha) past the float range exits 3 with one JSON line that
+    names the sector and its r_lo, before any jump is drawn."""
+    cfg = json.loads(CENTERED_DEMO.read_text())
+    cfg["diagnostics"] = [{"type": "vague_convergence", "draws": 10 ** 9,
+                           "sectors": [{"r_lo": 1.0}, {"r_lo": 2.16e-271}]}]
+    rc = cli.run(["diagnose", "--config", _write(tmp_path, cfg),
+                  "--out", str(tmp_path / "out")])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == "numeric"
+    assert error["message"].startswith("sector 1: ") and "r_lo = 2.16e-271" in error["message"]
+
+
+def test_warning_stays_inside_the_error_line(tmp_path):
+    """configs/demo.json with a direction of norm 2 and jump_mean centering
+    exits 2: the normalizing UserWarning joins the one JSON line on stderr.
+    A subprocess, because pytest captures warnings in its own process."""
+    cfg = json.loads(DEMO.read_text())
+    cfg["sigma"][0]["direction"] = [2.0]
+    cfg["plan"]["centering"] = "jump_mean"
+    argv, env = _console_command()
+    proc = subprocess.run(
+        argv + ["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == "mean_undefined"
+    assert error["warnings"] == ["UserWarning: direction norms deviate from 1; normalizing"]
+
+
+def test_warning_of_a_successful_run_still_shows(tmp_path):
+    cfg = _cfg(sigma=[{"direction": [2.0], "weight": 1.0}],
+               plan={"n": 10, "replicates": 5, "seed": 1})
+    with pytest.warns(UserWarning, match="normalizing"):
+        rc = cli.run(["simulate", "--config", _write(tmp_path, cfg),
+                      "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     def broken(cfg, out, seed, threads, stamp):
         raise KeyError("boom")
@@ -552,7 +596,7 @@ _PIN_LAWS = {
 }
 
 # sha256 of samples.csv (simulate) and paths.csv (paths, times 0.5 and 1) at
-# RNG_LAYOUT 2.
+# RNG_LAYOUT 2; layout 3 draws no_tempering's replicate rows unchanged.
 _PIN_SHA256 = {
     "ce_two_atoms": (
         "8817feb408a5fead167add69eef6ac1cb4465f5c3eee6d141207a0c9879f021b",

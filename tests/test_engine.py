@@ -8,6 +8,7 @@ from temperedwalk import (
     DRIFT_FREE,
     JumpModel,
     LevyExponent,
+    MixedScalePareto,
     SpectralMeasure,
     TemperingSpec,
     WalkPlan,
@@ -76,6 +77,20 @@ def test_jump_source_row_layout():
         assert spec.t_uniforms == rows - 2
 
 
+def test_no_tempering_draws_two_rows():
+    """Layout 3: no_tempering reads the atom and R rows only, and its radii
+    are R.  Rows are filled row-major, so a replicate's rows 0 and 1 are
+    those of layout 2's three-row block."""
+    alpha, m = 1.5, 5000
+    model, spec = JumpModel(alpha, TWO), TemperingSpec.no_tempering(alpha)
+    assert spec.t_uniforms == 0 and engine.RNG_LAYOUT == 3
+    u = _philox(6, 1).random((2, m))
+    assert np.array_equal(u, _philox(6, 1).random((3, m))[:2])
+    idx, rad = engine._tempered_jumps(model, spec, 1e-300, _philox(6, 1), m)
+    assert np.array_equal(idx, (u[0] >= 0.7).astype(np.int64))
+    assert np.array_equal(rad, (1.0 - u[1]) ** (-1.0 / alpha))
+
+
 def _draws(gen):
     # ends with an odd count of 32-bit draws and a part-used 64-bit buffer
     return gen.random(7), gen.integers(0, 2 ** 32, size=5, dtype=np.uint32)
@@ -116,6 +131,55 @@ def test_replicates_draw_fresh_philox_streams(threads):
         idx, rad = engine._tempered_jumps(m, ce, v, _philox(plan.seed, rep), plan.n)
         want = engine._atom_sums(idx, rad, 2) @ TWO.directions / v
         assert np.array_equal(batch.values[rep], want)
+
+
+def _two_rate_q(r, s):
+    return 0.7 * math.exp((-5.0 if s[0] > 0.0 else -0.2) * r)
+
+
+THREE_2D = SpectralMeasure([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]], [0.5, 0.3, 0.2])
+
+_BLOCK_LAWS = {
+    "custom_q": (JumpModel(0.7, TWO), TemperingSpec.custom_q(0.7, _two_rate_q, TWO), "none"),
+    "exponential_q_per_atom": (JumpModel(1.5, TWO),
+                               TemperingSpec.exponential_q(1.5, [0.5, 2.0], TWO),
+                               "truncated_mean"),
+    "ce_per_atom": (JumpModel(0.7, TWO),
+                    TemperingSpec.conditionally_exponential(0.7, [0.5, 2.0], TWO), "none"),
+    "no_tempering": (JumpModel(1.5, TWO), TemperingSpec.no_tempering(1.5), "jump_mean"),
+    "three_atoms_2d_mixed_scale": (
+        JumpModel(1.2, THREE_2D, radial=MixedScalePareto((1.0, 3.0), (0.4, 0.6))),
+        TemperingSpec.conditionally_exponential(1.2, 1.0, THREE_2D), "jump_mean"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("law", sorted(_BLOCK_LAWS))
+def test_blocks_of_replicates_match_one_replicate_at_a_time(law, threads):
+    """At small n a block holds many replicates, and 1000 replicates end in
+    a partial block: every path value still equals the one its own Philox
+    stream gives through the jump source, bincount and @ directions / v,
+    bit for bit."""
+    model, spec, centering = _BLOCK_LAWS[law]
+    n, times = 7, (0.0, 0.3, 1.0)
+    # a seed per thread count, so no run can read values an earlier one left
+    plan = WalkPlan(n=n, replicates=1000, seed=2 ** 64 - 1 - threads, centering=centering,
+                    time_grid=times)
+    size = engine._BLOCK_CELLS // ((2 + spec.t_uniforms) * n)
+    assert size > 1 and plan.replicates % size != 0
+    batches = engine.simulate_paths(plan, model, spec, threads=threads)
+    v, center = batches[0].threshold, batches[0].center
+    directions, k = model.sigma.directions, len(model.sigma)
+    for rep in range(plan.replicates):
+        idx, rad = engine._tempered_jumps(model, spec, v, _philox(plan.seed, rep), n)
+        for batch, t in zip(batches, times):
+            c = math.floor(n * t)
+            if c == 0:
+                want = -(t * center)
+            else:
+                sums = np.bincount(idx[:c], weights=rad[:c], minlength=k)
+                want = sums @ directions / v - t * center
+            assert batch.values[rep].tobytes() == want.tobytes(), (rep, t)
 
 
 def test_rowsum_batch_shape_and_meta():
@@ -286,10 +350,6 @@ def test_centered_rowsum_mean_tracks_jump_mean():
 
 
 # ------------------------------------------------------------ sigma binding
-
-
-def _two_rate_q(r, s):
-    return 0.7 * math.exp((-5.0 if s[0] > 0.0 else -0.2) * r)
 
 
 @pytest.mark.parametrize("bound", [
