@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _aux_jumps, _truncated_moment, tempering_threshold
+from .engine import _aux_jumps, _over_atoms, _truncated_moment, tempering_threshold
 from .jumps import JumpModel
 from .numerics import QuadratureError, adaptive_quad, integral_to_infinity
 from .spectral import SpectralMeasure
@@ -265,11 +265,6 @@ def tail_first_moment(alpha, sigma: SpectralMeasure, tempering: TemperingSpec):
     return _over_atoms(sigma, lambda j: tempering.tail_moment(1.0, j))
 
 
-def _over_atoms(sigma, radial):
-    # sum_j w_j radial(j) s_j
-    return sum(sigma.weights[j] * radial(j) * sigma.directions[j] for j in range(len(sigma)))
-
-
 def _half_line(f):
     # integral_0^inf f, split at 1
     return adaptive_quad(f, 0.0, 1.0) + integral_to_infinity(f, 1.0)
@@ -479,7 +474,7 @@ def vague_convergence_table(model: JumpModel, tempering: TemperingSpec, n,
                 f"sector {si}: Lévy mass above r_lo = {sec.r_lo!r} overflows") from None
     v = tempering_threshold(model, n)
     hits = np.zeros(len(sectors), dtype=np.int64)
-    for idx, rad in _aux_jumps(model, tempering, v, draws, seed, 2):
+    for idx, rad in _aux_jumps(model, tempering, v, draws, seed):
         z = rad / v
         for si, sec in enumerate(sectors):
             mask = (z >= sec.r_lo) & (z <= sec.r_hi)
@@ -508,8 +503,8 @@ def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas):
     """Truncated second moments n v^{-2} E||Y 1(||Y|| <= v delta)||^2.
 
     Computed by quadrature: E[Z^2 1(Z <= delta)] per atom, Z = min(R/v, T),
-    is ``engine._truncated_moment`` at p = 2.  Reports the values and the
-    fitted log-log slope over deltas.
+    is ``engine._truncated_moment`` at p = 2, summed over atoms as a_n is.
+    Reports the values and the fitted log-log slope over deltas.
     """
     deltas = np.asarray(sorted(float(x) for x in deltas))
     if deltas.size == 0:
@@ -520,14 +515,10 @@ def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas):
     tempering.check_law(model.alpha, sigma)
     mass = sigma.total_mass()
     v = tempering_threshold(model, n)
-    values = []
-    for delta in deltas.tolist():
-        total = 0.0
-        for j in range(len(sigma)):
-            moment = _truncated_moment(model, tempering, v, j, 2, delta)
-            total += sigma.weights[j] / mass * moment
-        values.append(n * total)
-    values = np.asarray(values)
+    ones = np.ones(len(sigma))  # E||Y||^2 has no direction
+    values = np.asarray([n * _over_atoms(
+        sigma, lambda j: _truncated_moment(model, tempering, v, j, 2, delta), ones) / mass
+        for delta in deltas.tolist()])
     if len(deltas) >= 2:
         slope = float(np.polyfit(np.log(deltas), np.log(values), 1)[0])
     else:

@@ -414,8 +414,16 @@ def _load_config(path):
 # -------------------------------------------------------------- entrypoint
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 2, one
+    JSON line), not a usage block; --help still prints and exits 0."""
+
+    def error(self, message):
+        _fail("usage", f"{self.prog}: {message}")
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="temperedwalk",
         description="Simulate tempered heavy-tailed random walks and check "
                     "their limit laws.",
@@ -448,16 +456,14 @@ def _run(argv):
     """(exit code, None or the (code, message) of an error)."""
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return (int(exc.code) if exc.code else 0), None
-    try:
         cfg, stamp = _load_config(args.config)
         if args.threads < 1:
             _fail("invalid_config", "--threads must be at least 1")
         out = Path(args.out) if args.out else Path(cfg["outputs"])
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed, args.threads, stamp), None
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0), None
     except ConfigError as exc:
         return 2, (exc.code, str(exc))
     except ArithmeticError as exc:

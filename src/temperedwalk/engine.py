@@ -14,16 +14,19 @@ Randomness is counter-based: replicate i of a run with seed s consumes one
 block of uniforms from the Philox stream keyed by (s, i), so results are
 byte-identical regardless of how replicates are distributed over workers.
 A stream's bits depend on its key alone, so each worker keeps one generator
-and re-keys it per replicate instead of building a new one.  Auxiliary
-consumers (Monte Carlo centering, diagnostics) use stream indices at 2^63
-and above, out of reach of any realistic replicate count.
+and re-keys it per replicate instead of building a new one.  The one
+auxiliary consumer, the vague-convergence diagnostic, draws from stream
+2^63 + 2, out of reach of any realistic replicate count.
+
+The truncated-mean centering a_n is exact for every family: one quadrature
+per atom (``_truncated_moment``), which the UAN profile shares.
 
 m jumps take one ``random((2 + spec.t_uniforms, m))`` block, filled row-major:
 row 0 picks the atom, row 1 the raw radius R, rows 2 on the tempering
 variable T.  ``RNG_LAYOUT`` 1 had three rows for every family; 2 gave
 ``exponential_q`` and ``custom_q`` a fourth (T = V * U^(1/alpha), V from
 row 2, U from row 3); 3 gives ``no_tempering`` (T = +inf) two, which moves
-only auxiliary draws past the first chunk.
+only vague-convergence draws past the first chunk.
 
 The walk fills one buffer per block of about ``_BLOCK_CELLS`` uniforms, a
 slice per replicate stream; the jump source and one ``bincount`` per time
@@ -69,9 +72,9 @@ _CENTERINGS = (CENTER_NONE, CENTER_TRUNCATED_MEAN, CENTER_JUMP_MEAN)
 # Version of the uniform layout of _tempered_jumps (see the module docstring).
 RNG_LAYOUT = 3
 
-# First stream index reserved for non-replicate randomness, and the most
-# jumps an auxiliary consumer draws from it in one block.
-_AUX_STREAM = 2 ** 63
+# The stream of the vague-convergence draws, and the most jumps drawn from
+# it in one block.
+_AUX_STREAM = 2 ** 63 + 2
 _AUX_CHUNK = 1_000_000
 
 # Uniforms per block of replicates in the walk: a block's temporaries stay
@@ -152,8 +155,6 @@ class SampleBatch:
 @dataclass(frozen=True)
 class TruncatedMeanResult:
     value: np.ndarray
-    std_error: float
-    method: str
 
 
 def tempering_threshold(model: JumpModel, n, v_override=None):
@@ -167,37 +168,19 @@ def tempering_threshold(model: JumpModel, n, v_override=None):
 # --------------------------------------------------------------- centering
 
 
-def centering_truncated_mean(model, spec, n, v, mc_draws=10 ** 6, seed=0):
-    """Truncated-mean centering a_n = n * E[X 1(||X|| < 1)], X = Y/v.
+def centering_truncated_mean(model, spec, n, v):
+    """Truncated-mean centering a_n = n * E[X 1(||X|| < 1)], X = Y/v, from
+    E[Z 1(Z <= 1)] per atom by ``_truncated_moment``; no random draw."""
+    spec.check_law(model.alpha, model.sigma)
+    total = _over_atoms(model.sigma, lambda j: _truncated_moment(model, spec, v, j, 1, 1.0))
+    return TruncatedMeanResult(n * total / model.sigma.total_mass())
 
-    The quadrature method takes E[Z 1(Z <= 1)] per atom from
-    ``_truncated_moment``.  A family whose pi is itself a quadrature
-    (``spec.pi_by_quadrature``) takes Monte Carlo over fresh tempered jumps
-    on an auxiliary stream instead.
-    """
-    sigma = model.sigma
-    spec.check_law(model.alpha, sigma)
-    mass = sigma.total_mass()
-    if not spec.pi_by_quadrature:
-        total = np.zeros(sigma.dimension)
-        for j in range(len(sigma)):
-            term = _truncated_moment(model, spec, v, j, 1, 1.0)
-            total += sigma.weights[j] * term * sigma.directions[j]
-        return TruncatedMeanResult(n * total / mass, 0.0, "quadrature")
 
-    d = sigma.dimension
-    acc = np.zeros(d)
-    acc_sq = np.zeros(d)
-    for idx, rad in _aux_jumps(model, spec, v, mc_draws, seed, 1):
-        z = rad / v
-        z = np.where(z < 1.0, z, 0.0)
-        comp = sigma.directions[idx] * z[:, None]
-        acc += comp.sum(axis=0)
-        acc_sq += (comp * comp).sum(axis=0)
-    mean = acc / mc_draws
-    var = acc_sq / mc_draws - mean * mean
-    se = float(n * np.sqrt(var.max() / mc_draws))
-    return TruncatedMeanResult(n * mean, se, "monte_carlo")
+def _over_atoms(sigma, radial, directions=None):
+    # sum_j w_j radial(j) s_j in atom order, or with directions[j] for s_j:
+    # the per-atom loop of a_n, the UAN profile and the limit law's moments
+    s = sigma.directions if directions is None else directions
+    return sum(sigma.weights[j] * radial(j) * s[j] for j in range(len(sigma)))
 
 
 def _truncated_moment(model, spec, v, j, p, delta):
@@ -222,7 +205,7 @@ def centering_vector(plan: WalkPlan, model, spec, v):
         return np.zeros(d)
     if plan.centering == CENTER_JUMP_MEAN:
         return plan.n * model.mean_jump() / v
-    return centering_truncated_mean(model, spec, plan.n, v, seed=plan.seed).value
+    return centering_truncated_mean(model, spec, plan.n, v).value
 
 
 # ------------------------------------------------------------ jump source
@@ -243,9 +226,9 @@ def _tempered_jumps(model, spec, v, u, m=None):
     return idx, np.minimum(r, v * t)
 
 
-def _aux_jumps(model, spec, v, draws, seed, stream):
-    """``draws`` tempered jumps from auxiliary stream ``stream``, in blocks."""
-    gen = _stream_opener(seed)(_AUX_STREAM + stream)
+def _aux_jumps(model, spec, v, draws, seed):
+    """``draws`` tempered jumps from the auxiliary stream, in blocks."""
+    gen = _stream_opener(seed)(_AUX_STREAM)
     for start in range(0, int(draws), _AUX_CHUNK):
         yield _tempered_jumps(model, spec, v, gen, min(_AUX_CHUNK, int(draws) - start))
 
@@ -260,8 +243,6 @@ def _atom_sums(idx, rad, k):
 def _simulate(plan, model, spec, threads, times):
     """(1/v) S(floor(n t)) - t a_n per replicate and time, from one jump
     stream per replicate; also v, a_n and the elapsed time."""
-    if plan.centering == CENTER_JUMP_MEAN and model.alpha <= 1.0:
-        raise ValueError("mean does not exist for alpha <= 1")
     spec.check_law(model.alpha, model.sigma)
     started = time.perf_counter()
     v = tempering_threshold(model, plan.n, plan.v_override)

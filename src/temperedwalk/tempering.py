@@ -106,7 +106,6 @@ class TemperingSpec:
     """
 
     family = None  # the family's name, a key of FAMILIES
-    pi_by_quadrature = False  # True where every pi value costs a quadrature
     t_uniforms = 1  # uniform rows per jump that the T sampler reads
 
     def __init__(self, alpha):
@@ -351,7 +350,6 @@ class CustomQ(_ParetoMixture, TemperingSpec):
     """
 
     family = CUSTOM_Q
-    pi_by_quadrature = True
 
     def __init__(self, alpha, q, sigma):
         super().__init__(alpha)

@@ -9,6 +9,7 @@ from scipy import stats
 
 from temperedwalk import (
     JumpModel,
+    MixedScalePareto,
     SpectralMeasure,
     TemperingSpec,
     WalkPlan,
@@ -541,6 +542,18 @@ def test_uan_profile_slope_no_tempering_closed_form():
     # quadrature results are trusted to 1e-6 relative, no further
     assert np.allclose(prof.values, want, rtol=1e-6)
     assert prof.slope == pytest.approx(0.8, abs=0.02)
+
+
+def test_uan_profile_custom_q_matches_exponential_q():
+    """The nested quadrature of custom_q (pi itself a quadrature) against
+    the closed-form pi of exponential_q: two atoms, per-atom rates, two scales."""
+    alpha, rates, n, deltas = 1.5, [0.5, 2.0], 1000, (0.1, 0.5, 1.0)
+    m = JumpModel(alpha, TWO, radial=MixedScalePareto((1.0, 3.0), (0.4, 0.6)))
+    custom = TemperingSpec.custom_q(
+        alpha, lambda r, s: alpha * math.exp(-(rates[0] if s[0] > 0.0 else rates[1]) * r), TWO)
+    got = uan_profile(m, custom, n, deltas).values
+    want = uan_profile(m, TemperingSpec.exponential_q(alpha, rates, TWO), n, deltas).values
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_uan_profile_tempered_slope_band():

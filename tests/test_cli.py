@@ -402,6 +402,26 @@ def test_console_entry_point(tmp_path):
     assert "simulate" in proc.stdout
 
 
+def test_usage_error_is_one_json_line(tmp_path):
+    """A command line that does not parse exits 2 with one JSON line on
+    stderr, not argparse's usage block; --help still prints and exits 0."""
+    command, env = _console_command()
+    for argv, says in ((["simulate"], "the following arguments are required: --config"),
+                       (["simulate", "--config", "c.json", "--threads", "x"],
+                        "argument --threads: invalid int value: 'x'")):
+        proc = subprocess.run(command + argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        error = json.loads(lines[0])["error"]
+        assert error == {"code": "usage", "message": f"temperedwalk simulate: {says}"}
+
+    proc = subprocess.run(command + ["simulate", "--help"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: temperedwalk simulate")
+
+
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 

@@ -110,13 +110,12 @@ def test_rekeyed_stream_is_a_fresh_philox(seed):
 
 
 def test_aux_jumps_come_from_the_aux_stream():
+    """The vague-convergence draws keep the bits of stream 2^63 + 2."""
     m = JumpModel(1.5, TWO)
     ce = TemperingSpec.conditionally_exponential(1.5, 1.0, TWO)
-    for stream in (1, 2):
-        (idx, rad), = engine._aux_jumps(m, ce, 7.0, 1001, 2 ** 64 - 1, stream)
-        gen = _philox(2 ** 64 - 1, engine._AUX_STREAM + stream)
-        want_idx, want_rad = engine._tempered_jumps(m, ce, 7.0, gen, 1001)
-        assert np.array_equal(idx, want_idx) and np.array_equal(rad, want_rad)
+    (idx, rad), = engine._aux_jumps(m, ce, 7.0, 1001, 2 ** 64 - 1)
+    want_idx, want_rad = engine._tempered_jumps(m, ce, 7.0, _philox(2 ** 64 - 1, 2 ** 63 + 2), 1001)
+    assert np.array_equal(idx, want_idx) and np.array_equal(rad, want_rad)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -260,7 +259,6 @@ def test_truncated_mean_closed_form_no_tempering():
     res = engine.centering_truncated_mean(m, nt, n, v)
     want = (0.7 / 0.3) * (1.0 - n / v)
     assert res.value[0] == pytest.approx(want, rel=1e-8)
-    assert res.method == "quadrature"
 
 
 def test_truncated_mean_two_sided_signs():
@@ -275,17 +273,19 @@ def test_truncated_mean_two_sided_signs():
     assert res.value[0] == pytest.approx(0.4 * one_sided.value[0], rel=1e-9)
 
 
-def test_truncated_mean_monte_carlo_agrees_with_quadrature():
-    n = 1000
-    m = JumpModel(0.7, ONE)
-    built = TemperingSpec.exponential_q(0.7, 1.0, ONE)
-    custom = TemperingSpec.custom_q(0.7, lambda r, s: 0.7 * math.exp(-r), ONE)
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_truncated_mean_custom_q_matches_exponential_q(alpha, monkeypatch):
+    """custom_q takes the same quadrature as the built-ins, with pi itself a
+    quadrature, and draws nothing: two atoms, per-atom rates, two scales."""
+    n, rates = 1000, [0.5, 2.0]
+    m = JumpModel(alpha, TWO, radial=MixedScalePareto((1.0, 3.0), (0.4, 0.6)))
     v = engine.tempering_threshold(m, n)
-    quad = engine.centering_truncated_mean(m, built, n, v)
-    mc = engine.centering_truncated_mean(m, custom, n, v, mc_draws=400000, seed=9)
-    assert mc.method == "monte_carlo"
-    assert quad.method == "quadrature"
-    assert abs(quad.value[0] - mc.value[0]) <= 4.0 * mc.std_error
+    built = engine.centering_truncated_mean(m, TemperingSpec.exponential_q(alpha, rates, TWO), n, v)
+    monkeypatch.setattr(engine, "_stream_opener", None)  # any draw fails
+    custom = TemperingSpec.custom_q(  # q = alpha exp(-theta_j r) on atom j of TWO
+        alpha, lambda r, s: alpha * math.exp(-(rates[0] if s[0] > 0.0 else rates[1]) * r), TWO)
+    got = engine.centering_truncated_mean(m, custom, n, v)
+    assert got.value[0] == pytest.approx(built.value[0], rel=1e-7)
 
 
 def test_jump_mean_centering_closed_form():
