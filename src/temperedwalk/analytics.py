@@ -53,11 +53,6 @@ _CONVENTIONS = (TRUNCATED, MEAN_ZERO, DRIFT_FREE)
 # same skip, so both paths put exact zeros at the same points.
 _ZERO_FREQ = 1e-12
 
-# Within _NEAR_ONE of alpha = 1 the Gamma(-alpha) and Gamma(1 - alpha) poles
-# of the closed forms cost about log10(1/|alpha - 1|) digits, so those laws
-# stay on quadrature.
-_NEAR_ONE = 1e-3
-
 
 def _log1m_i(u):
     # log(1 - iu) on the principal branch for real u, without the
@@ -77,45 +72,32 @@ def _cexpm1(w):
 
 @dataclass(frozen=True)
 class _ClosedForm:
-    """Atom exponents of a rate family, vectorized over c = <lambda, s_j>.
+    """Atom exponents of a built-in family, vectorized over c = <lambda, s_j>.
 
-    psi_j(c) = coef_j * (ic if times_ic else 1) * expm1(kappa * log(1 - ic/theta_j))
-               + ic * linear_j,
-
-    where coef_j * expm1(kappa * log(z/theta_j)) is
-    coef_j * theta_j^-kappa * (z^kappa - theta_j^kappa), z = theta_j - ic,
-    without the cancellation of the difference at small c.
+    With eps = alpha - 1, P(u) = expm1(eps u)/eps (u at eps = 0) and the
+    family's ``exponent_terms`` (theta, share, linear), psi_j(c) is
+    Gamma(1-eps) theta^eps [(share theta - ic) P(log(1 - ic/theta)) + share ic]
+    + ic linear, or -Gamma(1-eps) ic P(log(-ic)) + ic linear without
+    tempering (theta None).  No term has a pole at alpha = 1, and theta^eps
+    P(log(z/theta)) is (z^eps - theta^eps)/eps, z = theta - ic, without cancellation at small c.
     """
 
-    theta: np.ndarray
-    kappa: float
-    coef: np.ndarray
-    times_ic: bool
+    eps: float
+    theta: np.ndarray | None
+    share: float
     linear: np.ndarray
 
     def __call__(self, c):
-        power = _cexpm1(self.kappa * _log1m_i(c / self.theta))
         ic = 1j * c
-        scale = self.coef * ic if self.times_ic else self.coef
-        return scale * power + ic * self.linear
+        gain = math.gamma(1.0 - self.eps)
+        if self.theta is None:  # log(-ic), finite at c = 0, which _psi zeroes
+            log = np.log(np.where(c == 0.0, 1.0, np.abs(c))) - 0.5j * np.pi * np.sign(c)
+            return -gain * ic * self._p(log) + ic * self.linear
+        lead = (self.share * self.theta - ic) * self._p(_log1m_i(c / self.theta))
+        return gain * self.theta ** self.eps * (lead + self.share * ic) + ic * self.linear
 
-
-def _closed_form(alpha, sigma, tempering, convention):
-    """Closed-form atom exponents, or None where quadrature must serve.
-
-    The family supplies the drift-free and mean-zero forms
-    (``TemperingSpec.exponent_terms``); ``truncated`` adds
-    ic * int_1^inf r nu(dr), the family's tail moment above 1, to the
-    mean_zero form, which holds on both sides of alpha = 1.
-    """
-    terms = None if abs(alpha - 1.0) < _NEAR_ONE else tempering.exponent_terms(len(sigma))
-    if terms is None:
-        return None
-    theta, kappa, coef, times_ic, drift_free, mean_zero = terms
-    linear = drift_free if convention == DRIFT_FREE else mean_zero
-    if convention == TRUNCATED:
-        linear = linear + np.array([tempering.tail_moment(1.0, j) for j in range(len(sigma))])
-    return _ClosedForm(theta, kappa, coef, times_ic, linear)
+    def _p(self, u):
+        return u if self.eps == 0.0 else _cexpm1(self.eps * u) / self.eps
 
 
 class LevyExponent:
@@ -129,11 +111,10 @@ class LevyExponent:
     * ``drift_free`` e^{i<l,x>} - 1                   (needs alpha < 1)
 
     The tempering family picks how psi_j is evaluated, and ``method`` says
-    which way was picked.  ``conditionally_exponential`` and
-    ``exponential_q`` use closed forms in z = theta_j - ic (see
-    ``_closed_form``), one numpy expression over the whole grid, unless
-    |alpha - 1| < 1e-3.  That case, ``no_tempering`` and ``custom_q`` use
-    adaptive quadrature at every point (see ``_QuadratureAtoms``).
+    which way was picked.  The built-in families use closed forms (see
+    ``_ClosedForm``), one numpy expression over the whole grid at every
+    alpha, alpha = 1 included.  ``custom_q`` uses adaptive quadrature at
+    every point (see ``_QuadratureAtoms``).
     """
 
     def __init__(self, alpha, sigma: SpectralMeasure, tempering: TemperingSpec,
@@ -149,9 +130,9 @@ class LevyExponent:
         self.sigma = sigma
         self.tempering = tempering
         self.convention = convention
-        self._atoms = _closed_form(self.alpha, sigma, tempering, convention)
-        if self._atoms is None:
-            self._atoms = _QuadratureAtoms(self.alpha, tempering, convention)
+        terms = tempering.exponent_terms(len(sigma), convention)
+        self._atoms = (_QuadratureAtoms(self.alpha, tempering, convention) if terms is None
+                       else _ClosedForm(self.alpha - 1.0, *terms))
 
     @property
     def dimension(self):

@@ -1,10 +1,10 @@
-"""Quadrature plumbing and small special-function kernels.
+"""Quadrature plumbing and small gamma-function kernels.
 
 Everything here is shared numerical machinery: one set of tolerances for
 the adaptive integrals used throughout the package, a thin wrapper over
-QUADPACK that turns non-convergence into a typed error, and the upper
-incomplete gamma function extended to negative parameters by downward
-recurrence.
+QUADPACK that turns non-convergence into a typed error, (Gamma(1+p) - 1)/p
+without its cancellation at small p, and the upper incomplete gamma
+function extended to negative parameters by downward recurrence.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 __all__ = [
     "QuadratureError",
     "adaptive_quad",
     "integral_to_infinity",
     "gammainc_upper",
+    "gamma1pm1_over_p",
 ]
 
 # Tolerances of every adaptive radial integral.
@@ -85,7 +86,7 @@ def integral_to_infinity(f, a):
 
 def _upper_gamma_series(p, x):
     # Gamma(p, x) = Gamma(p) - gamma(p, x) with the lower tail from the
-    # standard ascending series; intended for 0 < p <= 2 and x < 1.5, where
+    # standard ascending series; used for 1/2 <= p <= 2 and x < 1.5, where
     # the subtraction loses at most a few bits.
     total = np.full(x.shape, 1.0 / p)
     term = total.copy()
@@ -129,6 +130,21 @@ def _upper_gamma_contfrac(p, x):
 
 
 _CONTFRAC_SWITCH = 1.5
+_EULER_GAMMA = 0.5772156649015329
+# zeta(2..8): log Gamma(1 + p) = -gamma p + sum_k zeta(k) (-p)^k / k
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+         1.0173430619844492, 1.008349277381923, 1.0040773561979444)
+
+
+def gamma1pm1_over_p(p):
+    """H(p) = (Gamma(1 + p) - 1)/p, -gamma at p = 0; below |p| = 0.01 by that
+    series of log Gamma(1 + p), without the cancellation of the difference."""
+    if abs(p) >= 0.01:
+        return (math.gamma(1.0 + p) - 1.0) / p
+    if p == 0.0:
+        return -_EULER_GAMMA
+    log_gamma = -_EULER_GAMMA * p + sum(z * (-p) ** k / k for k, z in enumerate(_ZETA, 2))
+    return math.expm1(log_gamma) / p
 
 
 def gammainc_upper(p, x):
@@ -136,10 +152,10 @@ def gammainc_upper(p, x):
 
     Supports the parameter range needed here, p in (-2, 2].  For x >= 1.5
     the Legendre continued fraction is evaluated at p itself (it converges
-    for negative parameters too).  For smaller x the value is built by the
-    downward recurrence Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a from
-    a series-computed start with parameter in (0, 1]; integer stops at a = 0
-    use the exponential integral, where the recurrence degenerates.
+    for negative parameters too).  For smaller x the downward recurrence
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a runs from p0 = p +
+    max(0, floor(1/2 - p)), in (-1/2, 1/2] or p itself above 1/2: from the
+    regular series below p0 = 1/2 (no pole at 0), else the ascending one.
     """
     if not -2.0 < p <= 2.0:
         raise ValueError("parameter must lie in (-2, 2]")
@@ -158,15 +174,23 @@ def gammainc_upper(p, x):
     return float(out[0]) if scalar else out
 
 
+def _upper_gamma_regular(p, x):
+    # Gamma(p, x) = H(p) - (x^p - 1)/p - x^p sum_{k>=1} (-x)^k / (k! (p + k)), E1(x)
+    # at p = 0 (Gil, Segura & Temme 2007), for |p| <= 1/2; at x < 1.5 the
+    # terms after k = 29 sum to less than 1.5^30/30! < 1e-27.
+    k = np.arange(1.0, 30.0)
+    total = (np.cumprod(-x[:, None] / k, axis=1) / (p + k)).sum(axis=1)
+    log_x = np.log(x)
+    power_m1 = log_x if p == 0.0 else np.expm1(p * log_x) / p
+    return gamma1pm1_over_p(p) - power_m1 - np.exp(p * log_x) * total
+
+
 def _upper_gamma_recurrence(p, x):
-    steps = 0 if p > 0.0 else int(math.floor(-p)) + 1
-    p0 = p + steps  # in (0, 1] for p <= 0, p itself otherwise
-    out = _upper_gamma_series(p0, x)
+    steps = max(0, math.floor(0.5 - p))
+    p0 = p + steps
+    out = _upper_gamma_series(p0, x) if p0 >= 0.5 else _upper_gamma_regular(p0, x)
     a = p0
     for _ in range(steps):
         a -= 1.0
-        if a == 0.0:
-            out = special.exp1(x)
-        else:
-            out = (out - np.exp(a * np.log(x) - x)) / a
+        out = (out - np.exp(a * np.log(x) - x)) / a
     return out

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import adaptive_quad, gammainc_upper, integral_to_infinity
+from .numerics import adaptive_quad, gamma1pm1_over_p, gammainc_upper, integral_to_infinity
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -179,11 +179,10 @@ class TemperingSpec:
         first moment above ``lower``; here by quadrature."""
         return integral_to_infinity(lambda r: self.q(r, j) * r ** (-self.alpha), lower)
 
-    def exponent_terms(self, k):
-        """(theta, kappa, coef, times_ic, drift_free, mean_zero) of atoms
-        0..k-1, or None without a closed form: with z = theta - ic, psi is
-        coef (ic if times_ic) expm1(kappa log(z/theta)) + ic * the linear
-        term of the convention."""
+    def exponent_terms(self, k, convention):
+        """(theta, share, linear) of atoms 0..k-1 under ``convention``
+        ("truncated", "mean_zero" or "drift_free") for the closed form of
+        ``analytics._ClosedForm``, or None without one."""
         return None
 
     # ----------------------------------------------------------- regularity
@@ -231,6 +230,14 @@ class NoTempering(TemperingSpec):
             raise ValueError("tail first moment diverges without tempering at alpha <= 1")
         return a * lower ** (1.0 - a) / (a - 1.0)
 
+    def exponent_terms(self, k, convention):
+        # alpha Gamma(-alpha) (-ic)^alpha = -Gamma(1-eps) ic [P(log(-ic)) + 1/eps];
+        # truncated adds ic alpha/eps, and the two 1/eps terms sum to ic (1 + H(-eps))
+        eps = self.alpha - 1.0
+        linear = (1.0 + gamma1pm1_over_p(-eps) if convention == "truncated"
+                  else -math.gamma(1.0 - eps) / eps)
+        return None, 0.0, np.full(k, linear)
+
     def _t_from_uniform(self, u, idx):
         return np.full(idx.shape, np.inf)
 
@@ -261,6 +268,18 @@ class RateFamily(TemperingSpec):
             self._rates = arr
             self.sigma = sigma
 
+    def exponent_terms(self, k, convention):
+        # mean_zero, plus ic times the tail moment above 1 or the whole first moment
+        a, s = self.alpha, self.share
+        theta = np.array([self.rate(j) for j in range(k)])
+        if convention == "truncated":
+            linear = np.array([self.tail_moment(1.0, j) for j in range(k)])
+        elif convention == "drift_free":
+            linear = (a * s + 1.0 - s) * math.gamma(1.0 - a) * theta ** (a - 1.0)
+        else:
+            linear = np.zeros(k)
+        return theta, s, linear
+
     def _exponential(self, u, idx):
         # E/lam of atom idx from row 0 of u; a scalar rate stays a float
         return -np.log(1.0 - u[0]) / self.rate(idx)
@@ -280,6 +299,8 @@ class ConditionallyExponential(RateFamily):
     """q = (alpha + lam r) e^(-lam r), so pi = e^(-lam u) and T = E/lam."""
 
     family = CONDITIONALLY_EXPONENTIAL
+    # nu(dr) = -d(r^-alpha e^(-theta r)): by parts, ic Gamma(1-alpha) z^(alpha-1)
+    share = 0.0
 
     def _q(self, r, j):
         lam = self.rate(j)
@@ -298,14 +319,6 @@ class ConditionallyExponential(RateFamily):
         return (lower ** (1.0 - a) * np.exp(-lam * lower)
                 + lam ** (a - 1.0) * gammainc_upper(1.0 - a, lam * lower))
 
-    def exponent_terms(self, k):
-        # nu(dr) = -d(r^-alpha e^(-theta r)): one integration by parts gives
-        # ic Gamma(1-alpha) z^(alpha-1); mean_zero takes out its slope in ic
-        # at c = 0, which is coef.
-        theta = np.array([self.rate(j) for j in range(k)])
-        coef = math.gamma(1.0 - self.alpha) * theta ** (self.alpha - 1.0)
-        return theta, self.alpha - 1.0, coef, True, coef, np.zeros_like(theta)
-
     _t_from_uniform = RateFamily._exponential
 
 
@@ -314,6 +327,7 @@ class ExponentialQ(_ParetoMixture, RateFamily):
 
     family = EXPONENTIAL_Q
     _v_from_uniform = RateFamily._exponential
+    share = 1.0  # alpha Gamma(-alpha) [z^alpha - theta^alpha]
 
     def _q(self, r, j):
         return self.alpha * np.exp(-self.rate(j) * r)
@@ -330,15 +344,6 @@ class ExponentialQ(_ParetoMixture, RateFamily):
     def tail_moment(self, lower, j=None):
         a, lam = self.alpha, self.rate(j)
         return a * lam ** (a - 1.0) * gammainc_upper(1.0 - a, lam * lower)
-
-    def exponent_terms(self, k):
-        # alpha Gamma(-alpha) [z^alpha - theta^alpha], less
-        # ic alpha theta^(alpha-1) Gamma(1-alpha) under mean_zero
-        a = self.alpha
-        theta = np.array([self.rate(j) for j in range(k)])
-        mean_zero = -a * theta ** (a - 1.0) * math.gamma(1.0 - a)
-        return (theta, a, a * math.gamma(-a) * theta ** a, False,
-                np.zeros_like(theta), mean_zero)
 
 
 class CustomQ(_ParetoMixture, TemperingSpec):

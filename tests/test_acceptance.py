@@ -132,7 +132,7 @@ def test_a2_tempering_sampler_ks(capsys):
 
 def test_a3_stable_reduction_symmetric(capsys):
     """Without tempering and with symmetric unit-mass directions, the row
-    sums reproduce the symmetric stable CF; the quadrature exponent is first
+    sums reproduce the symmetric stable CF; the library's exponent is first
     cross-checked against the closed form -sqrt(2*pi)*|lam|^1.5."""
     t0 = time.perf_counter()
     nt = TemperingSpec.no_tempering(1.5)

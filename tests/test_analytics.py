@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -125,7 +126,8 @@ RATE_FAMILIES = ("conditionally_exponential", "exponential_q")
 
 
 def _legal_conventions(alpha):
-    return (TRUNCATED, DRIFT_FREE) if alpha < 1.0 else (TRUNCATED, MEAN_ZERO)
+    return ((TRUNCATED, DRIFT_FREE) if alpha < 1.0 else
+            (TRUNCATED, MEAN_ZERO) if alpha > 1.0 else (TRUNCATED,))
 
 
 def test_eval_grid_matches_scalar_eval():
@@ -155,15 +157,19 @@ def _quadrature_psi(alpha, sigma, tempering, convention, c):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    family=st.sampled_from(RATE_FAMILIES),
-    alpha=st.one_of(st.floats(0.2, 0.98), st.floats(1.02, 1.95)),
+    family=st.sampled_from(RATE_FAMILIES + ("no_tempering",)),
+    alpha=st.floats(0.2, 1.95) | st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9]),
     theta=st.floats(0.1, 5.0),
     c=st.floats(-10.0, 10.0),
     pick=st.integers(0, 1),
 )
 def test_closed_forms_match_quadrature(family, alpha, theta, c, pick):
-    convention = _legal_conventions(alpha)[pick]
-    tempering = FAMILIES[family](alpha, theta, ONE)
+    # Within 0.02 of alpha = 1 the quadrature resolves only the compensated
+    # integrand, r^(1-alpha) at 0; test_near_one_exponent_matches_mpmath
+    # covers the other conventions there.
+    convention = TRUNCATED if abs(alpha - 1.0) < 0.02 else _legal_conventions(alpha)[pick]
+    tempering = (TemperingSpec.no_tempering(alpha) if family == "no_tempering"
+                 else FAMILIES[family](alpha, theta, ONE))
     ex = LevyExponent(alpha, ONE, tempering, convention)
     assert ex.method == "closed_form"
     got = ex.eval(np.array([c]))
@@ -185,16 +191,20 @@ def test_closed_forms_run_no_quadrature(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
     grid = np.linspace(-5.0, 5.0, 11).reshape(-1, 1)
     for family in RATE_FAMILIES:
-        for alpha in (0.7, 1.5):
+        for alpha in (0.7, 1.0, 1.5):
             tempering = FAMILIES[family](alpha, [1.0, 2.0], TWO)
             for convention in _legal_conventions(alpha):
                 ex = LevyExponent(alpha, TWO, tempering, convention)
                 assert np.all(np.isfinite(ex.eval_grid(grid)))
             assert levy_mass(alpha, TWO, tempering, 1e-3, 1e3) > 0.0
             assert np.all(np.isfinite(tail_first_moment(alpha, TWO, tempering)))
-    # without tempering: masses at any alpha, the tail moment for alpha > 1
-    for alpha in (0.7, 1.5):
-        assert levy_mass(alpha, TWO, TemperingSpec.no_tempering(alpha), 0.5, np.inf) > 0.0
+    # without tempering: exponents and masses at any alpha, the tail moment
+    # for alpha > 1
+    for alpha in (0.7, 1.0, 1.5):
+        nt = TemperingSpec.no_tempering(alpha)
+        for convention in _legal_conventions(alpha):
+            assert np.all(np.isfinite(LevyExponent(alpha, TWO, nt, convention).eval_grid(grid)))
+        assert levy_mass(alpha, TWO, nt, 0.5, np.inf) > 0.0
     assert tail_first_moment(1.5, TWO, TemperingSpec.no_tempering(1.5))[0] > 0.0
 
 
@@ -213,13 +223,63 @@ def test_exponent_at_zero_is_exactly_zero(alpha):
             assert ex.eval_grid(np.zeros((2, 1)))[1] == 0
 
 
-def test_alpha_near_one_stays_on_quadrature():
-    ce = TemperingSpec.conditionally_exponential(1.0005, 1.0, ONE)
-    assert LevyExponent(1.0005, ONE, ce, TRUNCATED).method == "quadrature"
-    ce = TemperingSpec.conditionally_exponential(1.002, 1.0, ONE)
-    assert LevyExponent(1.002, ONE, ce, TRUNCATED).method == "closed_form"
-    nt = TemperingSpec.no_tempering(1.5)
-    assert LevyExponent(1.5, ONE, nt, MEAN_ZERO).method == "quadrature"
+def test_alpha_near_one_is_closed_form():
+    for alpha in (1.0 - 1e-9, 0.9995, 1.0, 1.0005, 1.5):
+        for tempering in (TemperingSpec.no_tempering(alpha),
+                          TemperingSpec.conditionally_exponential(alpha, 1.0, ONE),
+                          TemperingSpec.exponential_q(alpha, 1.0, ONE)):
+            assert LevyExponent(alpha, ONE, tempering, TRUNCATED).method == "closed_form"
+        custom = LevyExponent(alpha, ONE, _expq_as_custom(alpha, 1.0, ONE), TRUNCATED)
+        assert custom.method == "quadrature"
+
+
+# The near-one band and alpha = 1, against the classical forms with their
+# Gamma(-alpha) and Gamma(1-alpha) poles evaluated in mpmath at 90 digits;
+# alpha = 1 is taken at 1 + 1e-40, where the exponent is analytic.  Warnings
+# are errors, so c = 0 must evaluate without a numpy RuntimeWarning.
+NEAR_ONE = (1.0 - 1e-9, 0.999, 0.9995, 1.0, 1.0005, 1.001, 1.0 + 1e-9)
+NEAR_ONE_C = (-50.0, -3.0, -0.2, -1e-9, 0.0, 1e-9, 1e-3, 0.5, 4.0, 50.0)
+
+
+def _mpmath_psi(family, alpha, theta, convention, c):
+    with mpmath.workdps(90):
+        a = mpmath.mpf(alpha) if alpha != 1.0 else 1 + mpmath.mpf(10) ** -40
+        th, ic = mpmath.mpf(theta), 1j * mpmath.mpf(c)
+        z = th - ic
+        if family == "no_tempering":
+            psi = a * mpmath.gamma(-a) * mpmath.power(-ic, a)
+            tail = a / (a - 1)
+        elif family == "conditionally_exponential":
+            psi = ic * mpmath.gamma(1 - a) * mpmath.power(z, a - 1)
+            psi -= ic * mpmath.gamma(1 - a) * mpmath.power(th, a - 1)
+            tail = mpmath.exp(-th) + mpmath.power(th, a - 1) * mpmath.gammainc(1 - a, th)
+        else:
+            psi = a * mpmath.gamma(-a) * (mpmath.power(z, a) - mpmath.power(th, a))
+            psi -= ic * a * mpmath.power(th, a - 1) * mpmath.gamma(1 - a)
+            tail = a * mpmath.power(th, a - 1) * mpmath.gammainc(1 - a, th)
+        # psi is the mean_zero form; the other conventions add ic * a moment
+        if convention == TRUNCATED:
+            psi += ic * tail
+        elif convention == DRIFT_FREE and family != "no_tempering":
+            psi += ic * (mpmath.gamma(1 - a) * mpmath.power(th, a - 1)
+                         * (a if family == "exponential_q" else 1))
+        return complex(psi)
+
+
+@pytest.mark.parametrize("alpha", NEAR_ONE)
+@pytest.mark.parametrize("family", RATE_FAMILIES + ("no_tempering",))
+def test_near_one_exponent_matches_mpmath(family, alpha):
+    lam = np.array(NEAR_ONE_C)[:, None]
+    for theta in (1.0,) if family == "no_tempering" else (0.1, 1.0, 3.0):
+        tempering = (TemperingSpec.no_tempering(alpha) if family == "no_tempering"
+                     else FAMILIES[family](alpha, theta, ONE))
+        for convention in _legal_conventions(alpha):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = LevyExponent(alpha, ONE, tempering, convention).eval_grid(lam)
+            for c, value in zip(NEAR_ONE_C, got):
+                want = _mpmath_psi(family, alpha, theta, convention, c)
+                assert abs(value - want) <= 1e-12 * max(abs(want), abs(c)), (theta, convention, c)
 
 
 SMALL_FREQUENCIES = (1e-3, 1e-4, 1e-6, 1e-9)
@@ -228,13 +288,15 @@ SMALL_FREQUENCIES = (1e-3, 1e-4, 1e-6, 1e-9)
 @pytest.mark.parametrize("lam", SMALL_FREQUENCIES)
 def test_quadrature_small_frequency_untempered(lam):
     """The Fourier tail rule once dropped the whole tail mass at small c."""
-    sym = LevyExponent(1.5, SYM, TemperingSpec.no_tempering(1.5), MEAN_ZERO)
-    want = -SQRT_2PI * lam ** 1.5
-    assert abs(sym.eval(np.array([lam])) - want) <= 1e-10 + 1e-9 * abs(want)
-    one = LevyExponent(0.7, ONE, TemperingSpec.no_tempering(0.7), DRIFT_FREE)
+    # one atom at alpha = 1.5: 2 sqrt(pi) lam^1.5 e^(-3i pi/4), whose real
+    # part is the symmetric law's -sqrt(2 pi) lam^1.5
+    got = _quadrature_psi(1.5, ONE, TemperingSpec.no_tempering(1.5), MEAN_ZERO, lam)
+    want = -SQRT_2PI * lam ** 1.5 * (1.0 + 1.0j)
+    assert abs(got - want) <= 1e-10 + 1e-9 * abs(want)
+    got = _quadrature_psi(0.7, ONE, TemperingSpec.no_tempering(0.7), DRIFT_FREE, lam)
     scale = GAMMA_03 * lam ** 0.7
     want = complex(-scale * COS_35PI, scale * SIN_35PI)
-    assert abs(one.eval(np.array([lam])) - want) <= 1e-10 + 1e-9 * abs(want)
+    assert abs(got - want) <= 1e-10 + 1e-9 * abs(want)
 
 
 @pytest.mark.parametrize("lam", SMALL_FREQUENCIES)
@@ -575,7 +637,7 @@ def test_density_matches_cauchy_closed_form():
     res = density_1d(ex, None, x)
     want = stats.cauchy.pdf(x, scale=np.pi / 2.0)
     assert np.max(np.abs(res.density - want)) <= 2e-4
-    # the mass defect here is real tail mass, plus small quadrature noise
+    # the mass defect here is real tail mass, plus small inversion error
     tail = 2.0 * stats.cauchy.sf(10.0, scale=np.pi / 2.0)
     assert res.mass_defect == pytest.approx(tail, abs=2e-3)
     assert np.all(res.density >= 0.0)

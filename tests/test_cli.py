@@ -173,7 +173,7 @@ def test_cf_check_self_test_is_exact(tmp_path, monkeypatch):
     assert len(table) == 42
 
 
-def test_cf_check_reports_quadrature_exponent(tmp_path):
+def test_cf_check_reports_untempered_closed_form_exponent(tmp_path):
     cfg = _cfg(tempering={"family": "no_tempering"},
                cf_check={"convention": "drift_free", "self_test": True,
                          "drift": [0.5], "grid": {"points": 5}})
@@ -181,7 +181,7 @@ def test_cf_check_reports_quadrature_exponent(tmp_path):
                   "--out", str(tmp_path / "out")])
     assert rc == 0
     check = json.loads((tmp_path / "out" / "report.json").read_text())["checks"][0]
-    assert check["parameters"]["exponent"] == "quadrature"
+    assert check["parameters"]["exponent"] == "closed_form"
     assert check["statistic"] == 0.0
 
 
@@ -699,19 +699,15 @@ def _schema_strings(spec):
             yield from _schema_strings(field)
 
 
-# no_tempering is left out: its exponent is per-point quadrature, about 50 ms
-# a point, and one density call takes at least 513 points.  The same path
-# serves every family within 1e-3 of alpha = 1, so such floats are left out.
 # The mixture's keys sit in a reader function, so they are named here.
 _FUZZ_STRINGS = sorted(
     set(_schema_strings(cli._CONFIG))
     | {s for kind, (schema, _) in cli._DIAGNOSTICS.items()
        for s in (kind, *_schema_strings(schema))}
     | {"scales", "weights", "", "-1", "0"})
-_FUZZ_STRINGS.remove("no_tempering")
 _fuzz_scalars = (
     st.none() | st.booleans() | st.integers(-3, 50)
-    | st.floats(-50.0, 50.0).filter(lambda x: abs(x - 1.0) >= 1e-3)
+    | st.floats(-50.0, 50.0)
     | st.sampled_from([math.nan, math.inf, -math.inf])
     | st.sampled_from(_FUZZ_STRINGS) | st.text(max_size=4)
 )

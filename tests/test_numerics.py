@@ -18,6 +18,19 @@ GAMMA_CASES = [
     (1.0, 1.0, 0.36787944117144232),
     (2.0, 4.0, 0.091578194443670901),
     (-1.9, 12.0, 3.715336886319937e-9),
+    # p near 0 and -1, where 1/p and Gamma(p) have poles: the regular start
+    (1e-9, 0.3, 0.9056766513150862), (1e-9, 1.0, 0.21938393449336346),
+    (1e-9, 1.4, 0.1162193126529918),
+    (-1e-9, 0.3, 0.9056766520366072), (-1e-9, 1.0, 0.21938393429767708),
+    (-1e-9, 1.4, 0.116219312489724),
+    (-1e-6, 0.3, 0.9056770124365329), (-1e-6, 1.0, 0.21938383655235866),
+    (-1e-6, 1.4, 0.11621923093749528),
+    (0.0, 0.3, 0.9056766516758468), (0.0, 1.0, 0.21938393439552029),
+    (0.0, 1.4, 0.11621931257135791),
+    (-1.0 + 1e-9, 0.3, 1.5637174162146075), (-1.0 + 1e-9, 1.0, 0.14849550682657436),
+    (-1.0 + 1e-9, 1.4, 0.05992137599591496),
+    (-1.0, 0.3, 1.563717417263213), (-1.0, 1.0, 0.14849550677592205),
+    (-1.0, 1.4, 0.059921375958361035),
 ]
 
 
