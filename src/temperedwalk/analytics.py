@@ -281,24 +281,18 @@ def tempered_mean(alpha, sigma: SpectralMeasure, tempering: TemperingSpec):
         lambda u: (1.0 - tempering.pi(u, j)) * u ** (-alpha)))
 
 
-def _gbar(tempering, j, r):
-    # gbar(r, s_j) = r - int_0^r pi(u, s_j) du, where (u pi)' = (alpha+1) pi - q
-    # gives int_0^r pi = (Q(r) + r pi(r)) / (alpha + 1).
-    pi_integral = tempering.cumulative_q(r, j) + r * tempering.pi(r, j)
-    return r - pi_integral / (tempering.alpha + 1.0)
-
-
 def shift_theta(alpha, sigma: SpectralMeasure, tempering: TemperingSpec):
     """Shift vector theta = -m + tail_first_moment, by its defining route.
 
-    The first term is integrated as alpha * gbar(r,s) r^{-alpha-1} without
+    The first term is integrated as alpha * gbar(r,s) r^{-alpha-1}, with
+    gbar(r,s) = r - int_0^r pi(u,s) du, without
     the order swap used by tempered_mean, so comparing -theta +
     tail_first_moment against tempered_mean exercises two independent
     quadrature paths of the same quantity.
     """
     _require_tempered_regular(alpha, sigma, tempering, "shift")
     first = _over_atoms(sigma, lambda j: _half_line(
-        lambda r: _gbar(tempering, j, r) * r ** (-alpha - 1.0)))
+        lambda r: (r - tempering.pi_integral(1.0, 0.0, r, j)) * r ** (-alpha - 1.0)))
     return alpha * first + tail_first_moment(alpha, sigma, tempering)
 
 
@@ -483,8 +477,9 @@ class UANProfile:
 def uan_profile(model: JumpModel, tempering: TemperingSpec, n, deltas):
     """Truncated second moments n v^{-2} E||Y 1(||Y|| <= v delta)||^2.
 
-    Computed by quadrature: E[Z^2 1(Z <= delta)] per atom, Z = min(R/v, T),
-    is ``engine._truncated_moment`` at p = 2, summed over atoms as a_n is.
+    E[Z^2 1(Z <= delta)] per atom, Z = min(R/v, T), is
+    ``engine._truncated_moment`` at p = 2 (closed forms but for custom_q),
+    summed over atoms as a_n is.
     Reports the values and the fitted log-log slope over deltas.
     """
     deltas = np.asarray(sorted(float(x) for x in deltas))

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, engine
+from . import __version__, analytics, engine, numerics
 from .jumps import EXACT_PARETO, JumpModel, MixedScalePareto
 from .spectral import SpectralMeasure
 from .tempering import CUSTOM_Q, FAMILIES, NoTempering
@@ -138,7 +138,8 @@ def _check(test, parameters, statistic, threshold, passed, **extra):
 def _write_report(out, stamp, checks):
     """Write report.json; exit code 0 if every check passed, else 1."""
     passed = all(c["pass"] for c in checks)
-    _write_json(out / "report.json", {"checks": checks, "pass": passed, **stamp})
+    _write_json(out / "report.json", {"checks": checks, "pass": passed,
+                                      "quadrature_calls": numerics.quad_calls, **stamp})
     return 0 if passed else 1
 
 
@@ -461,6 +462,7 @@ def _run(argv):
             _fail("invalid_config", "--threads must be at least 1")
         out = Path(args.out) if args.out else Path(cfg["outputs"])
         out.mkdir(parents=True, exist_ok=True)
+        numerics.quad_calls = 0  # counted per run for report.json
         return _COMMANDS[args.command](cfg, out, args.seed, args.threads, stamp), None
     except SystemExit as exc:  # --help
         return int(exc.code or 0), None

@@ -18,8 +18,9 @@ and re-keys it per replicate instead of building a new one.  The one
 auxiliary consumer, the vague-convergence diagnostic, draws from stream
 2^63 + 2, out of reach of any realistic replicate count.
 
-The truncated-mean centering a_n is exact for every family: one quadrature
-per atom (``_truncated_moment``), which the UAN profile shares.
+The truncated-mean centering a_n is exact for every family: two integrals
+of pi per atom and radius component (``_truncated_moment``), closed forms
+but for ``custom_q``, which the UAN profile shares.
 
 m jumps take one ``random((2 + spec.t_uniforms, m))`` block, filled row-major:
 row 0 picks the atom, row 1 the raw radius R, rows 2 on the tempering
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jumps import JumpModel
-from .numerics import adaptive_quad
 from .tempering import TemperingSpec
 
 __all__ = [
@@ -187,15 +187,19 @@ def _truncated_moment(model, spec, v, j, p, delta):
     """E[Z^p 1(Z <= delta)] of atom j, Z = min(R/v, T), with S_R the radius
     survival function:
 
-        p int_0^delta u^(p-1) S_R(v u) pi(u, s_j) du - delta^p S_R(v delta) pi(delta, s_j),
+        p int_0^delta u^(p-1) S_R(v u) pi(u, s_j) du - delta^p S_R(v delta) pi(delta, s_j).
 
-    one quadrature broken at the kinks of S_R (the powers are exact at p = 1).
+    A radius component (c, w) adds w min(1, (k/u)^alpha), k = c/v, to S_R(v u)
+    and so w [I(p, 0, min(delta, k)) + k^alpha I(p - alpha, k, delta)] to the
+    integral, the second term for k < delta only, I = ``spec.pi_integral``.
     """
-    integral = adaptive_quad(
-        lambda u: u ** (p - 1) * model.radius_survival(v * u) * spec.pi(u, j),
-        0.0, delta, points=[float(c) / v for c in model.radius_scales],
-    )
-    return p * integral - delta ** p * model.radius_survival(v * delta) * spec.pi(delta, j)
+    total = 0.0
+    for c, w in model.radius_components:
+        k = c / v
+        total += w * spec.pi_integral(p, 0.0, min(delta, k), j)
+        if k < delta:
+            total += w * k ** model.alpha * spec.pi_integral(p - model.alpha, k, delta, j)
+    return p * total - delta ** p * model.radius_survival(v * delta) * spec.pi(delta, j)
 
 
 def centering_vector(plan: WalkPlan, model, spec, v):

@@ -70,9 +70,9 @@ class JumpModel:
         self._cum = cum
 
     @property
-    def radius_scales(self):
-        """Absolute Pareto scales of R; P(R > r) has a kink at each."""
-        return self._scales
+    def radius_components(self):
+        """(absolute Pareto scale, mixture weight) of each component of R."""
+        return list(zip(self._scales.tolist(), self._probs.tolist()))
 
     def radius_survival(self, r):
         """P(R > r), vectorized."""

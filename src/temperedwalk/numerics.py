@@ -2,9 +2,10 @@
 
 Everything here is shared numerical machinery: one set of tolerances for
 the adaptive integrals used throughout the package, a thin wrapper over
-QUADPACK that turns non-convergence into a typed error, (Gamma(1+p) - 1)/p
-without its cancellation at small p, and the upper incomplete gamma
-function extended to negative parameters by downward recurrence.
+QUADPACK that turns non-convergence into a typed error (and imports scipy
+at its first call), (Gamma(1+p) - 1)/p without its cancellation at small p,
+and the incomplete gamma functions, the upper one extended to negative
+parameters by downward recurrence.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "QuadratureError",
     "adaptive_quad",
     "integral_to_infinity",
     "gammainc_upper",
+    "gammainc_span",
     "gamma1pm1_over_p",
 ]
 
@@ -27,6 +28,8 @@ __all__ = [
 ABS_TOL = 1e-10
 REL_TOL = 1e-9
 MAX_SUBDIVISIONS = 200
+# adaptive_quad calls; the CLI resets the count at each run for report.json
+quad_calls = 0
 
 
 class QuadratureError(ArithmeticError):
@@ -42,22 +45,18 @@ class QuadratureError(ArithmeticError):
 _REJECT_LEVEL = 1e-6
 
 
-def adaptive_quad(f, a, b, points=None, weight=None, wvar=None):
+def adaptive_quad(f, a, b, weight=None, wvar=None):
     """Integrate ``f`` over ``[a, b]`` adaptively.
 
     ``weight``/``wvar`` select QUADPACK's oscillatory rules (needed for
-    Fourier-type tails over infinite intervals).  ``points`` marks interior
-    break points such as kinks; it is only legal on finite intervals and is
-    dropped otherwise.
+    Fourier-type tails over infinite intervals).  ``integrate.quad`` is
+    looked up at each call, so a wrapper set on it takes effect.
     """
-    kwargs = {}
-    if weight is not None:
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-    elif points is not None and math.isfinite(a) and math.isfinite(b):
-        interior = [p for p in points if a < p < b]
-        if interior:
-            kwargs["points"] = sorted(interior)
+    from scipy import integrate
+
+    global quad_calls
+    quad_calls += 1
+    kwargs = {} if weight is None else {"weight": weight, "wvar": wvar}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value, err = integrate.quad(
@@ -84,10 +83,8 @@ def integral_to_infinity(f, a):
     return adaptive_quad(g, 0.0, 1.0)
 
 
-def _upper_gamma_series(p, x):
-    # Gamma(p, x) = Gamma(p) - gamma(p, x) with the lower tail from the
-    # standard ascending series; used for 1/2 <= p <= 2 and x < 1.5, where
-    # the subtraction loses at most a few bits.
+def _lower_gamma_series(p, x):
+    # gamma(p, x) by the standard ascending series, for p > 0 and x < 1.5
     total = np.full(x.shape, 1.0 / p)
     term = total.copy()
     ap = p
@@ -99,8 +96,7 @@ def _upper_gamma_series(p, x):
             break
     else:
         raise ArithmeticError("incomplete gamma series did not converge")
-    lower = total * np.exp(-x + p * np.log(x))
-    return math.gamma(p) - lower
+    return total * np.exp(-x + p * np.log(x))
 
 
 def _upper_gamma_contfrac(p, x):
@@ -174,6 +170,17 @@ def gammainc_upper(p, x):
     return float(out[0]) if scalar else out
 
 
+def gammainc_span(p, x0, x1):
+    """Gamma(p, x0) - Gamma(p, x1) for scalars 0 <= x0 < x1, p in (-2, 2] and
+    p > 0 if x0 = 0.  From x0 = 0 it is the lower gamma(p, x1), taken by its
+    series below x1 = 1.5, where the difference would lose it to cancellation."""
+    if x0 > 0.0:
+        return gammainc_upper(p, x0) - gammainc_upper(p, x1)
+    if x1 >= _CONTFRAC_SWITCH:
+        return math.gamma(p) - gammainc_upper(p, x1)
+    return float(_lower_gamma_series(p, np.array([float(x1)]))[0])
+
+
 def _upper_gamma_regular(p, x):
     # Gamma(p, x) = H(p) - (x^p - 1)/p - x^p sum_{k>=1} (-x)^k / (k! (p + k)), E1(x)
     # at p = 0 (Gil, Segura & Temme 2007), for |p| <= 1/2; at x < 1.5 the
@@ -186,9 +193,11 @@ def _upper_gamma_regular(p, x):
 
 
 def _upper_gamma_recurrence(p, x):
+    # from p0 >= 1/2, Gamma(p0) - gamma(p0, x) loses at most a few bits
     steps = max(0, math.floor(0.5 - p))
     p0 = p + steps
-    out = _upper_gamma_series(p0, x) if p0 >= 0.5 else _upper_gamma_regular(p0, x)
+    out = (math.gamma(p0) - _lower_gamma_series(p0, x) if p0 >= 0.5
+           else _upper_gamma_regular(p0, x))
     a = p0
     for _ in range(steps):
         a -= 1.0

@@ -16,8 +16,9 @@ with W ~ Pareto(alpha, 1), so T = V * U^(1/alpha) with U uniform (Rosinski,
 SPA 2007; Kawai & Masuda, JCAM 2011).  A sampler reads ``t_uniforms`` rows.
 
 Each family is a subclass of ``TemperingSpec``, listed by name in
-``FAMILIES``, with its own q, pi, T sampler, Q(r) = int_0^r q and
-tail_moment(L) = int_L^inf q r^-alpha dr (quadrature unless overridden):
+``FAMILIES``, with its own q, pi, T sampler, tail_moment(L) =
+int_L^inf q r^-alpha dr and pi_integral(s, a, b) = int_a^b u^(s-1) pi du
+(quadrature unless overridden):
 
 * ``NoTempering``  q = alpha, pi = 1, T = +inf.
 * ``ConditionallyExponential``  q = (alpha + lam r) e^(-lam r), pi = e^(-lam u),
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import adaptive_quad, gamma1pm1_over_p, gammainc_upper, integral_to_infinity
+from .numerics import (adaptive_quad, gamma1pm1_over_p, gammainc_span, gammainc_upper,
+                       integral_to_infinity)
 from .spectral import SpectralMeasure
 
 __all__ = [
@@ -170,14 +172,21 @@ class TemperingSpec:
         """Survival function pi(u, s_j) = P(T > u) of atom j; u may be an array."""
         return _unwrap(self._pi(_positive(u, "u"), j))
 
-    def cumulative_q(self, r, j=None):
-        """Q(r) = integral_0^r q(x, s_j) dx, here by quadrature."""
-        return adaptive_quad(lambda x: self.q(x, j), 0.0, r)
-
     def tail_moment(self, lower, j=None):
         """integral_lower^inf q(r, s_j) r^-alpha dr, the Lévy measure's radial
         first moment above ``lower``; here by quadrature."""
         return integral_to_infinity(lambda r: self.q(r, j) * r ** (-self.alpha), lower)
+
+    def pi_integral(self, s, a, b, j=None):
+        """integral_a^b u^(s-1) pi(u, s_j) du, 0 <= a < b (s > 0 if a = 0), on a
+        piece of a truncated moment between kinks; here by quadrature in u/b
+        from a = 0, else in log(u/b)."""
+        if a == 0.0:
+            inner = adaptive_quad(lambda z: z ** (s - 1.0) * self.pi(b * z, j), 0.0, 1.0)
+        else:
+            inner = adaptive_quad(lambda t: math.exp(s * t) * self.pi(b * math.exp(t), j),
+                                  math.log(a / b), 0.0)
+        return b ** s * inner
 
     def exponent_terms(self, k, convention):
         """(theta, share, linear) of atoms 0..k-1 under ``convention``
@@ -221,14 +230,18 @@ class NoTempering(TemperingSpec):
     def _pi(self, u, j):
         return np.ones_like(u)
 
-    def cumulative_q(self, r, j=None):
-        return self.alpha * r
-
     def tail_moment(self, lower, j=None):
         a = self.alpha
         if a <= 1.0:
             raise ValueError("tail first moment diverges without tempering at alpha <= 1")
         return a * lower ** (1.0 - a) / (a - 1.0)
+
+    def pi_integral(self, s, a, b, j=None):
+        # (b^s - a^s)/s, log(b/a) at s = 0 (alpha = 1 in the first moment)
+        if a == 0.0:
+            return b ** s / s
+        log_ratio = math.log(b / a)
+        return a ** s * (math.expm1(s * log_ratio) / s if s else log_ratio)
 
     def exponent_terms(self, k, convention):
         # alpha Gamma(-alpha) (-ic)^alpha = -Gamma(1-eps) ic [P(log(-ic)) + 1/eps];
@@ -309,15 +322,14 @@ class ConditionallyExponential(RateFamily):
     def _pi(self, u, j):
         return np.exp(-self.rate(j) * u)
 
-    def cumulative_q(self, r, j=None):
-        lam = self.rate(j)
-        x = lam * r
-        return (-(self.alpha + 1.0) * np.expm1(-x) - x * np.exp(-x)) / lam
-
     def tail_moment(self, lower, j=None):
         a, lam = self.alpha, self.rate(j)
         return (lower ** (1.0 - a) * np.exp(-lam * lower)
                 + lam ** (a - 1.0) * gammainc_upper(1.0 - a, lam * lower))
+
+    def pi_integral(self, s, a, b, j=None):
+        lam = self.rate(j)
+        return lam ** -s * gammainc_span(s, lam * a, lam * b)
 
     _t_from_uniform = RateFamily._exponential
 
@@ -337,19 +349,26 @@ class ExponentialQ(_ParetoMixture, RateFamily):
         a, x = self.alpha, self.rate(j) * u
         return np.minimum(a * np.exp(a * np.log(x)) * gammainc_upper(-a, x), 1.0)
 
-    def cumulative_q(self, r, j=None):
-        lam = self.rate(j)
-        return -self.alpha * np.expm1(-lam * r) / lam
-
     def tail_moment(self, lower, j=None):
         a, lam = self.alpha, self.rate(j)
         return a * lam ** (a - 1.0) * gammainc_upper(1.0 - a, lam * lower)
+
+    def pi_integral(self, s, a, b, j=None):
+        # by parts in x = lam u: alpha lam^-s/(s + alpha) [G(x) - Gamma(s, x)]
+        # from lam a to lam b, with G(x) = x^(s+alpha) Gamma(-alpha, x), G(0) = 0
+        al, lam = self.alpha, self.rate(j)
+
+        def g(x):
+            return x ** (s + al) * gammainc_upper(-al, x) if x else 0.0
+
+        return al * lam ** -s / (s + al) * (g(lam * b) - g(lam * a)
+                                            + gammainc_span(s, lam * a, lam * b))
 
 
 class CustomQ(_ParetoMixture, TemperingSpec):
     """User-supplied q(r, s), bound to ``sigma`` and validated by sampling.
 
-    pi, Q and the tail moment are quadratures.  V, whose survival function
+    pi, pi_integral and the tail moment are quadratures.  V, whose survival function
     is q/alpha, is drawn by inverting a monotone table of q per atom, built
     from calls to q alone.
     """
@@ -394,15 +413,19 @@ class CustomQ(_ParetoMixture, TemperingSpec):
         return _pointwise(lambda x: float(self._q_callable(x, sv)), r)
 
     def _pi(self, u, j):
-        # pi(u) = (1/alpha) * int_0^1 q(u * z^(-1/alpha), s) dz; the power
-        # substitution absorbs the r^(-alpha-1) weight exactly.
+        # pi(u) = u^alpha int_u^inf r^(-alpha-1) q(r, s) dr: up to r = 1 in
+        # t = log(r/u), as int e^(-alpha t) q(u e^t) dt, so that the fall of q
+        # keeps its share of nodes however small u is; the rest to infinity.
         a, sv = self.alpha, self.sigma.directions[self._index(j)]
 
+        def q(r):
+            return float(self._q_callable(r, sv))
+
         def one(x):
-            val = adaptive_quad(
-                lambda z: float(self._q_callable(x * z ** (-1.0 / a), sv)), 0.0, 1.0,
-            ) / a
-            return min(max(val, 0.0), 1.0)
+            head = 0.0 if x >= 1.0 else adaptive_quad(
+                lambda t: math.exp(-a * t) * q(x * math.exp(t)), 0.0, -math.log(x))
+            tail = integral_to_infinity(lambda r: q(r) * r ** (-a - 1.0), max(x, 1.0))
+            return min(max(head + x ** a * tail, 0.0), 1.0)
 
         return _pointwise(one, u)
 

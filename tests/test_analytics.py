@@ -601,8 +601,8 @@ def test_uan_profile_slope_no_tempering_closed_form():
     prof = uan_profile(m, nt, n, deltas)
     v = engine.tempering_threshold(m, n)
     want = n * v ** -2.0 * 1.2 * ((v * deltas) ** 0.8 - 1.0) / 0.8
-    # quadrature results are trusted to 1e-6 relative, no further
-    assert np.allclose(prof.values, want, rtol=1e-6)
+    # closed-form moments: exact to rounding
+    assert np.allclose(prof.values, want, rtol=1e-12)
     assert prof.slope == pytest.approx(0.8, abs=0.02)
 
 

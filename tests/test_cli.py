@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import temperedwalk
-from temperedwalk import analytics, cli
+from temperedwalk import analytics, cli, numerics
 
 BASE = {
     "sigma": [
@@ -514,6 +514,75 @@ def test_cli_module_runs_as_main(tmp_path):
 CENTERED_DEMO = DEMO.with_name("centered_demo.json")
 
 
+# Runs in a fresh interpreter: every subcommand on a demo config, then one
+# custom_q centering.  It prints which of them had loaded scipy by its end.
+_SCIPY_PROBE = """
+import json, math, sys
+from temperedwalk import JumpModel, SpectralMeasure, TemperingSpec, cli, engine
+runs, out = json.loads(sys.argv[1]), sys.argv[2]
+loaded = []
+for i, (command, config) in enumerate(runs):
+    rc = cli.run([command, "--config", config, "--out", f"{out}/{i}"])
+    assert rc in (0, 1), (command, config, rc)
+    loaded.append("scipy" in sys.modules)
+one = SpectralMeasure([[1.0]], [1.0])
+custom = TemperingSpec.custom_q(1.5, lambda r, s: 1.5 * math.exp(-r), one)
+a_n = engine.centering_truncated_mean(JumpModel(1.5, one), custom, 300, 300 ** (1 / 1.5))
+print(json.dumps({"loaded": loaded, "a_n": a_n.value[0], "custom": "scipy" in sys.modules}))
+"""
+
+
+def test_demo_runs_never_import_scipy(tmp_path):
+    """No subcommand on configs/demo.json or configs/centered_demo.json
+    imports scipy: the built-in families run no quadrature.  Replicates and
+    draws are cut to keep the test fast, and paths gets a time grid; a
+    custom_q centering still integrates, and loads scipy to do it."""
+    runs = []
+    for demo in (DEMO, CENTERED_DEMO):
+        cfg = json.loads(demo.read_text())
+        cfg["plan"].update(replicates=50, time_grid=[0.5, 1.0])
+        for entry in cfg["diagnostics"]:
+            if entry["type"] == "vague_convergence":
+                entry["draws"] = 10 ** 4
+        config = _write(tmp_path, cfg, demo.name)
+        runs += [(command, config) for command in cli._COMMANDS]
+    _, env = _console_command()
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs),
+                           str(tmp_path / "out")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == [False] * len(runs), runs
+    m = temperedwalk.JumpModel(1.5, temperedwalk.SpectralMeasure([[1.0]], [1.0]))
+    built = temperedwalk.TemperingSpec.exponential_q(1.5, 1.0)
+    want = temperedwalk.centering_truncated_mean(m, built, 300, 300 ** (1 / 1.5)).value[0]
+    assert result["custom"] and result["a_n"] == pytest.approx(want, rel=1e-10)
+
+
+def test_reports_count_the_run_s_quadratures(tmp_path, monkeypatch):
+    """report.json of cf-check, density and diagnose says how many
+    quadratures the run took: none on a built-in family, and each call
+    counts once where one runs."""
+    cfg = _cfg(cf_check={"convention": "drift_free", "self_test": True,
+                         "grid": {"points": 5}},
+               diagnostics=[{"type": "uan", "n": 1000, "band": 0.5}])
+    config = _write(tmp_path, cfg)
+    for command in ("cf-check", "density", "diagnose"):
+        assert cli.run([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+        report = json.loads((tmp_path / command / "report.json").read_text())
+        assert report["quadrature_calls"] == 0, command
+    uan_profile = analytics.uan_profile
+
+    def integrating(*args):
+        for _ in range(3):
+            numerics.adaptive_quad(lambda x: x, 0.0, 1.0)
+        return uan_profile(*args)
+
+    monkeypatch.setattr(analytics, "uan_profile", integrating)
+    assert cli.run(["diagnose", "--config", config, "--out", str(tmp_path / "again")]) == 0
+    report = json.loads((tmp_path / "again" / "report.json").read_text())
+    assert report["quadrature_calls"] == 3
+
+
 def test_diagnose_sector_over_six_decades(tmp_path, capsys):
     """The sector [1e-3, 1e3] once ended in a numeric error (exit 3): its
     Lévy mass was a direct quadrature that did not converge."""
@@ -616,14 +685,16 @@ _PIN_LAWS = {
 }
 
 # sha256 of samples.csv (simulate) and paths.csv (paths, times 0.5 and 1) at
-# RNG_LAYOUT 2; layout 3 draws no_tempering's replicate rows unchanged.
+# RNG_LAYOUT 2; layout 3 draws no_tempering's replicate rows unchanged.  The
+# bytes also hold a_n: expq_one_atom_truncated_mean was re-pinned when its
+# a_n became a closed form (15.12481934428829 -> 15.124819344327951).
 _PIN_SHA256 = {
     "ce_two_atoms": (
         "8817feb408a5fead167add69eef6ac1cb4465f5c3eee6d141207a0c9879f021b",
         "616503ecb1af02d4f9daaeef3bbb9597fd70e961833ce3c4fac10a8755a0a9db"),
     "expq_one_atom_truncated_mean": (
-        "9dfc555d27ae4418ed4a885528757d8130a065e531d0a1f3cf52e81b85bb53f9",
-        "02a21038303410dd9abd3f516042ac75d0e20e3dee557856265463e2f0721ab0"),
+        "6debb7bfb8bcb246f121769d5e89ae9146c72ab44ce8b0ce481e8053e3728894",
+        "689b8a23c31e7f46f1fa2039f63b27f2e544aab4ccfdb09b4d4488a85904b4f5"),
     "no_tempering": (
         "aabdba807d8ef1d45510099d5360721a9bb99d0937130cb4845d5f545b48dff1",
         "889769da05d4df5a13285e509083fa3b487b5279a5f453fbb2bba1c3f6e97349"),
@@ -635,7 +706,8 @@ _PIN_SHA256 = {
 
 @pytest.mark.parametrize("law", sorted(_PIN_LAWS))
 def test_rng_layout_output_bytes_are_pinned(tmp_path, law):
-    """The output bytes of small runs do not move unless RNG_LAYOUT does."""
+    """The output bytes of small runs do not move unless the uniform layout
+    (RNG_LAYOUT) or the centering a_n does."""
     cfg = _PIN_LAWS[law]
     paths_cfg = {**cfg, "plan": {**cfg["plan"], "time_grid": [0.5, 1.0]}}
     got = []
@@ -646,8 +718,9 @@ def test_rng_layout_output_bytes_are_pinned(tmp_path, law):
                         "--out", str(out)]) == 0
         got.append(hashlib.sha256((out / name).read_bytes()).hexdigest())
     assert tuple(got) == _PIN_SHA256[law], (
-        f"{law}: output bytes changed at RNG_LAYOUT {cli.engine.RNG_LAYOUT}; "
-        "bump `RNG_LAYOUT` if this change of bits is intended")
+        f"{law}: output bytes changed at RNG_LAYOUT {cli.engine.RNG_LAYOUT}: either "
+        "the uniform layout moved (bump `RNG_LAYOUT`) or the centering a_n did "
+        "(see meta.json); re-pin only if the change is intended")
 
 
 # ------------------------------------------------------------ config fuzzing

@@ -1,11 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 
+from temperedwalk import numerics
 from temperedwalk.analytics import _cexpm1, _sin_m1
 from temperedwalk.numerics import (
     QuadratureError,
     adaptive_quad,
+    gammainc_span,
     gammainc_upper,
+    integral_to_infinity,
 )
 
 # Reference values precomputed with mpmath.gammainc at 40 digits.
@@ -74,11 +78,28 @@ def test_adaptive_quad_polynomial():
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
-def test_adaptive_quad_with_breakpoints():
-    f = lambda x: abs(x - 0.3) ** 0.5
-    val = adaptive_quad(f, 0.0, 1.0, points=[0.3])
-    want = (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5
-    assert val == pytest.approx(want, rel=1e-10)
+def test_adaptive_quad_counts_its_calls():
+    calls = numerics.quad_calls
+    adaptive_quad(lambda x: x, 0.0, 1.0)
+    integral_to_infinity(lambda r: r ** -2.0, 1.0)
+    assert numerics.quad_calls == calls + 2
+
+
+# (p, x0, x1): from x0 = 0 (p > 0 there, or gamma(p, x1) diverges) and between
+# two positive ends, on both sides of the series switch at 1.5
+_SPAN_CASES = ([(p, 0.0, x1) for p in (0.3, 1.0, 1.3, 2.0)
+                for x1 in (1e-20, 1e-7, 0.15, 1.4, 1.6, 30.0)]
+               + [(p, x0, x1) for p in (-0.9, 0.0, 0.3, 1.0, 2.0)
+                  for x0, x1 in ((1e-7, 0.15), (0.15, 1.0), (1.0, 3.0))])
+
+
+@pytest.mark.parametrize("p,x0,x1", _SPAN_CASES)
+def test_gammainc_span_matches_mpmath(p, x0, x1):
+    """Gamma(p, x0) - Gamma(p, x1) keeps its relative accuracy where it is
+    tiny: from x0 = 0 and below x1 = 1.5, Gamma(p) - Gamma(p, x1) would
+    return 0 or noise."""
+    want = float(mpmath.gammainc(p, x0, x1))
+    assert gammainc_span(p, x0, x1) == pytest.approx(want, rel=1e-12)
 
 
 def test_adaptive_quad_oscillatory_tail():

@@ -99,6 +99,38 @@ def test_custom_q_pi_matches_builtin():
             built.pi(float(u), 0), abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_custom_q_pi_is_relatively_accurate_at_small_u(alpha):
+    """pi of custom_q, integrated in log r up to r = 1, keeps 1e-12 relative
+    accuracy as u -> 0, where 1 - pi ~ u^alpha is all that is left of the fall
+    of q; one rule over z in [0, 1] was off by up to 2.5e-5 at alpha = 0.7."""
+    custom = TemperingSpec.custom_q(alpha, lambda r, s: alpha * math.exp(-r), ONE)
+    built = TemperingSpec.exponential_q(alpha, 1.0, ONE)
+    for u in np.geomspace(1e-9, 1.0, 19):
+        assert custom.pi(float(u), 0) == pytest.approx(built.pi(float(u), 0), rel=1e-12)
+
+
+# (s, a, b) of int_a^b u^(s-1) pi du: the first-moment pieces (s = p and
+# s = p - alpha) at tiny and ordinary kinks, s = 0 at alpha = 1 included
+_PI_INTEGRAL_CASES = [(1.0, 0.0, 1e-7), (2.0, 0.0, 0.15), (1.0, 0.0, 3.0),
+                      (0.3, 1e-7, 1.0), (-0.5, 1e-7, 0.15), (-0.9, 0.02, 1.0),
+                      (0.0, 1e-5, 1.0), (1.3, 0.5, 4.0)]
+
+
+@pytest.mark.parametrize("s,a,b", _PI_INTEGRAL_CASES)
+def test_pi_integral_closed_forms_match_quadrature(s, a, b):
+    """Each built-in family's closed form against the base class's
+    quadrature of the same pi, per atom with per-atom rates."""
+    for alpha in (0.7, 1.0, 1.5):
+        for spec in (TemperingSpec.no_tempering(alpha),
+                     TemperingSpec.conditionally_exponential(alpha, [0.5, 3.0], TWO),
+                     TemperingSpec.exponential_q(alpha, [0.5, 3.0], TWO)):
+            for j in (0, 1):
+                want = TemperingSpec.pi_integral(spec, s, a, b, j)
+                assert spec.pi_integral(s, a, b, j) == pytest.approx(want, rel=1e-9), (
+                    spec.family, alpha, j)
+
+
 def test_pi_derivative_against_finite_differences():
     """Richardson-extrapolated central differences of pi, 20 log points,
     against pi' = -lam e^(-lam u) (conditionally exponential) and
