@@ -122,6 +122,7 @@ def _meta_dict(batches, plan, threads):
         "threads": threads,
         "elapsed_seconds": batch.elapsed_seconds,
         "jumps_per_second": jumps / batch.elapsed_seconds,
+        "stages": batch.stages,
         "time_grid": list(plan.time_grid) if plan.time_grid else None,
     }
 

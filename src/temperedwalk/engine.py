@@ -10,30 +10,26 @@ row's tempering threshold.  The engine forms normalized row sums
 for one of three centerings (none, truncated mean, jump mean) and, in paths
 mode, the partial-sum process (1/v) * S(floor(n*t)) - t*a_n on a time grid.
 
-Randomness is counter-based: replicate i of a run with seed s consumes one
-block of uniforms from the Philox stream keyed by (s, i), so results are
-byte-identical regardless of how replicates are distributed over workers.
-A stream's bits depend on its key alone, so each worker keeps one generator
-and re-keys it per replicate instead of building a new one.  The one
-auxiliary consumer, the vague-convergence diagnostic, draws from stream
-2^63 + 2, out of reach of any realistic replicate count.
+Randomness is counter-based.  Under ``RNG_LAYOUT`` 4 a run with seed s reads
+one Philox stream, keyed (s, 0): replicate i takes uniforms [i L, (i + 1) L),
+L = (2 + ``spec.t_uniforms``) * (jumps per replicate), and a thread opens the
+stream at its first replicate (``_open_stream``), so the bytes do not depend
+on threads.  Layout 3 keyed a stream (s, i) per replicate, so replicate 0
+keeps its bits, as do a_n and the vague-convergence draws from stream
+(s, 2^63 + 2); README's "Tempered jumps" lists every layout.
+
+m jumps take ``(2 + spec.t_uniforms, m)`` uniforms, filled row-major: row 0
+picks the atom, row 1 the raw radius R, rows 2 on the tempering variable T.
+
+The walk fills a block of about ``_BLOCK_CELLS`` uniforms, consecutive
+replicates, with one call; the jump source and one ``bincount`` per time
+over the bins (replicate, atom) then serve the block.  ``bincount`` adds
+each bin's weights in input order from 0.0, as a per-replicate sum does, so
+the bits depend on neither block size nor threads.
 
 The truncated-mean centering a_n is exact for every family: two integrals
 of pi per atom and radius component (``_truncated_moment``), closed forms
 but for ``custom_q``, which the UAN profile shares.
-
-m jumps take one ``random((2 + spec.t_uniforms, m))`` block, filled row-major:
-row 0 picks the atom, row 1 the raw radius R, rows 2 on the tempering
-variable T.  ``RNG_LAYOUT`` 1 had three rows for every family; 2 gave
-``exponential_q`` and ``custom_q`` a fourth (T = V * U^(1/alpha), V from
-row 2, U from row 3); 3 gives ``no_tempering`` (T = +inf) two, which moves
-only vague-convergence draws past the first chunk.
-
-The walk fills one buffer per block of about ``_BLOCK_CELLS`` uniforms, a
-slice per replicate stream; the jump source and one ``bincount`` per time
-over the bins (replicate, atom) then serve the block.  ``bincount`` adds
-each bin's weights in input order from 0.0, as a per-replicate sum does, so
-the bits depend on neither block size nor threads (one contiguous range each).
 """
 
 from __future__ import annotations
@@ -69,8 +65,8 @@ CENTER_JUMP_MEAN = "jump_mean"
 
 _CENTERINGS = (CENTER_NONE, CENTER_TRUNCATED_MEAN, CENTER_JUMP_MEAN)
 
-# Version of the uniform layout of _tempered_jumps (see the module docstring).
-RNG_LAYOUT = 3
+# Version of the rows of a jump and the streams of a run (module docstring).
+RNG_LAYOUT = 4
 
 # The stream of the vague-convergence draws, and the most jumps drawn from
 # it in one block.
@@ -82,21 +78,25 @@ _AUX_CHUNK = 1_000_000
 _BLOCK_CELLS = 4096
 
 
-def _stream_opener(seed):
-    """A function stream -> generator at the start of the Philox stream keyed
-    by (seed, stream).  It re-keys one generator, so opening a stream ends
-    the previous one: one opener per thread."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    # a fresh Philox: counter 0, buffer_pos 4 (buffer spent), no uint32 held
-    fresh = gen.bit_generator.state
-    key = fresh["state"]["key"]
+def _open_stream(seed, stream, skip=0):
+    """A generator at uniform ``skip`` of the Philox stream keyed (seed, stream).
+    Philox makes 4 values per counter step, stepping before each 4."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    gen.bit_generator.advance(skip // 4)
+    gen.random(skip % 4)
+    return gen
 
-    def open_stream(stream):
-        key[1] = stream
-        gen.bit_generator.state = fresh
-        return gen
 
-    return open_stream
+class _Stopwatch(dict):
+    """Seconds per stage of a walk; lap(stage) adds the time since the last lap."""
+
+    def __init__(self):
+        super().__init__(fill=0.0, transform=0.0, reduction=0.0, centering=0.0)
+        self.start = self.last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self[stage], self.last = self[stage] + now - self.last, now
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ class WalkPlan:
             grid = tuple(float(t) for t in self.time_grid)
             if len(grid) == 0:
                 raise ValueError("time_grid must be non-empty")
-            if any(t < 0.0 for t in grid) or any(
-                b <= a for a, b in zip(grid, grid[1:])
-            ):
+            if grid[0] < 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("time_grid must be non-negative and strictly increasing")
             object.__setattr__(self, "time_grid", grid)
 
@@ -142,6 +140,7 @@ class SampleBatch:
     seed: int
     t: float = 1.0
     elapsed_seconds: float = 0.0
+    stages: dict = None  # seconds per stage, see _Stopwatch
 
     @property
     def replicates(self):
@@ -204,9 +203,8 @@ def _truncated_moment(model, spec, v, j, p, delta):
 
 def centering_vector(plan: WalkPlan, model, spec, v):
     """The a_n vector for the plan's centering mode."""
-    d = model.sigma.dimension
     if plan.centering == CENTER_NONE:
-        return np.zeros(d)
+        return np.zeros(model.sigma.dimension)
     if plan.centering == CENTER_JUMP_MEAN:
         return plan.n * model.mean_jump() / v
     return centering_truncated_mean(model, spec, plan.n, v).value
@@ -232,7 +230,7 @@ def _tempered_jumps(model, spec, v, u, m=None):
 
 def _aux_jumps(model, spec, v, draws, seed):
     """``draws`` tempered jumps from the auxiliary stream, in blocks."""
-    gen = _stream_opener(seed)(_AUX_STREAM)
+    gen = _open_stream(seed, _AUX_STREAM)
     for start in range(0, int(draws), _AUX_CHUNK):
         yield _tempered_jumps(model, spec, v, gen, min(_AUX_CHUNK, int(draws) - start))
 
@@ -240,17 +238,14 @@ def _aux_jumps(model, spec, v, draws, seed):
 # --------------------------------------------------------------- simulation
 
 
-def _atom_sums(idx, rad, k):
-    return np.bincount(idx, weights=rad, minlength=k)
-
-
 def _simulate(plan, model, spec, threads, times):
-    """(1/v) S(floor(n t)) - t a_n per replicate and time, from one jump
-    stream per replicate; also v, a_n and the elapsed time."""
+    """One SampleBatch per time of (1/v) S(floor(n t)) - t a_n, each replicate
+    from its own slice of one jump stream."""
     spec.check_law(model.alpha, model.sigma)
-    started = time.perf_counter()
+    watch = _Stopwatch()
     v = tempering_threshold(model, plan.n, plan.v_override)
     center = centering_vector(plan, model, spec, v)
+    watch.lap("centering")
     sigma = model.sigma
     k, directions = len(sigma), sigma.directions
     cuts = [int(math.floor(plan.n * t)) for t in times]
@@ -262,35 +257,45 @@ def _simulate(plan, model, spec, threads, times):
 
     def run(first, stop):
         # replicates first..stop-1, size at a time, with this thread's generator and buffer
-        open_stream = _stream_opener(plan.seed)
+        part = _Stopwatch()
+        gen = _open_stream(plan.seed, 0, first * rows * n_jumps)
         block = np.empty((min(size, stop - first), rows, n_jumps))
         for lo in range(first, stop, size):
             b = min(size, stop - lo)
-            for i in range(b):
-                open_stream(lo + i).random(out=block[i])
+            gen.random(out=block[:b])
+            part.lap("fill")
             idx, rad = _tempered_jumps(model, spec, v, block[:b].transpose(1, 0, 2))
             if b > 1:
                 idx = idx + k * np.arange(b)[:, None]  # bin of atom j in row i: i k + j
+            part.lap("transform")
             for ci, (c, shift) in steps:
-                sums = _atom_sums(idx[:, :c].ravel(), rad[:, :c].ravel(), b * k).reshape(b, k)
+                sums = np.bincount(idx[:, :c].ravel(), weights=rad[:, :c].ravel(),
+                                   minlength=b * k).reshape(b, k)
                 out[lo:lo + b, ci] = sums @ directions / v - shift if c else -shift
+            part.lap("reduction")
+        return part
 
     if threads <= 1:
-        run(0, plan.replicates)
+        parts = [run(0, plan.replicates)]
     else:
         edges = [plan.replicates * i // threads for i in range(threads + 1)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, edges[:-1], edges[1:]))
-    return out, v, center, time.perf_counter() - started
+            parts = list(pool.map(run, edges[:-1], edges[1:]))
+    stages = {stage: sum(part[stage] for part in [watch, *parts]) for stage in watch}
+    elapsed = time.perf_counter() - watch.start
+    return [
+        SampleBatch(
+            values=out[:, ci].copy(), n=plan.n, threshold=v, center=center,
+            centering=plan.centering, seed=plan.seed, t=t, elapsed_seconds=elapsed,
+            stages=stages,
+        )
+        for ci, t in enumerate(times)
+    ]
 
 
 def simulate_rowsum(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, threads=1):
     """Normalized, centered row sums; one row of output per replicate."""
-    out, v, center, elapsed = _simulate(plan, model, spec, threads, (1.0,))
-    return SampleBatch(
-        values=out[:, 0], n=plan.n, threshold=v, center=center,
-        centering=plan.centering, seed=plan.seed, elapsed_seconds=elapsed,
-    )
+    return _simulate(plan, model, spec, threads, (1.0,))[0]
 
 
 def simulate_paths(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, threads=1):
@@ -302,11 +307,4 @@ def simulate_paths(plan: WalkPlan, model: JumpModel, spec: TemperingSpec, thread
     """
     if plan.time_grid is None:
         raise ValueError("paths mode needs a time grid")
-    out, v, center, elapsed = _simulate(plan, model, spec, threads, plan.time_grid)
-    return [
-        SampleBatch(
-            values=out[:, ci].copy(), n=plan.n, threshold=v, center=center,
-            centering=plan.centering, seed=plan.seed, t=t, elapsed_seconds=elapsed,
-        )
-        for ci, t in enumerate(plan.time_grid)
-    ]
+    return _simulate(plan, model, spec, threads, plan.time_grid)

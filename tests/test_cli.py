@@ -74,11 +74,25 @@ def test_meta_reports_jump_throughput(tmp_path, command):
     assert 0.0 < meta["jumps_per_second"] < math.inf
 
 
+@pytest.mark.parametrize("command", ["simulate", "paths"])
+def test_meta_reports_stage_seconds(tmp_path, command):
+    """meta.json gives the seconds of the Philox fill, the jump transform, the
+    bincount reduction and the centering, the first three summed over threads."""
+    cfg = _cfg(plan={"n": 301, "replicates": 40, "seed": 3, "centering": "truncated_mean",
+                     "time_grid": [0.25, 0.5]})
+    out = tmp_path / "o"
+    assert cli.run([command, "--config", _write(tmp_path, cfg), "--out", str(out),
+                    "--threads", "2"]) == 0
+    stages = json.loads((out / "meta.json").read_text())["stages"]
+    assert set(stages) == {"fill", "transform", "reduction", "centering"}
+    assert all(seconds >= 0.0 for seconds in stages.values())
+
+
 def test_meta_and_report_carry_provenance(tmp_path):
     """meta.json and report.json name the RNG layout, the package version
     and the sha256 of the config file's bytes."""
     config = _write(tmp_path, _cfg(cf_check={"self_test": True, "grid": {"points": 11}}))
-    want = {"rng_layout": 3, "version": temperedwalk.__version__,
+    want = {"rng_layout": 4, "version": temperedwalk.__version__,
             "config_sha256": hashlib.sha256(Path(config).read_bytes()).hexdigest()}
     for command, name in (("simulate", "meta.json"), ("cf-check", "report.json")):
         assert cli.run([command, "--config", config, "--out", str(tmp_path / command)]) == 0
@@ -685,29 +699,41 @@ _PIN_LAWS = {
 }
 
 # sha256 of samples.csv (simulate) and paths.csv (paths, times 0.5 and 1) at
-# RNG_LAYOUT 2; layout 3 draws no_tempering's replicate rows unchanged.  The
-# bytes also hold a_n: expq_one_atom_truncated_mean was re-pinned when its
-# a_n became a closed form (15.12481934428829 -> 15.124819344327951).
+# RNG_LAYOUT 4.  The bytes also hold a_n: expq_one_atom_truncated_mean was
+# re-pinned when its a_n became a closed form (15.12481934428829 ->
+# 15.124819344327951), and every law when layout 4 put all replicates on one
+# stream.
 _PIN_SHA256 = {
     "ce_two_atoms": (
-        "8817feb408a5fead167add69eef6ac1cb4465f5c3eee6d141207a0c9879f021b",
-        "616503ecb1af02d4f9daaeef3bbb9597fd70e961833ce3c4fac10a8755a0a9db"),
+        "ddff8ab12d847de7362f8806d90644ce55f1d5bf24875805108b6fd5efbf3cb1",
+        "6df89da08d236fa7c50a22ef5eb49736bcb70d96d8e2b1ca14c6ad54c35c9d09"),
     "expq_one_atom_truncated_mean": (
-        "6debb7bfb8bcb246f121769d5e89ae9146c72ab44ce8b0ce481e8053e3728894",
-        "689b8a23c31e7f46f1fa2039f63b27f2e544aab4ccfdb09b4d4488a85904b4f5"),
+        "7256cf7c7a92c25950d549194a1e34667ce28d47f0170d780ff37171f64324fb",
+        "90ec3220212c64a2797b54795a416dcfc782223af88fe7deab816f2ce9f016ab"),
     "no_tempering": (
-        "aabdba807d8ef1d45510099d5360721a9bb99d0937130cb4845d5f545b48dff1",
-        "889769da05d4df5a13285e509083fa3b487b5279a5f453fbb2bba1c3f6e97349"),
+        "4288bc536e0ec98d923f97cc222b0d731ec967f194b890d5c49cfb30fec67fec",
+        "5f96006751330b7b926abed36cf5fc75b7f1826dc917c688b1b479f20a30fd4a"),
     "mixed_three_scales_three_atoms_2d": (
-        "0c65c7e6e8e6e046839c63f14fb888276a5344b5334f9946dcacd9aea5581ec4",
-        "125f1ce35c176087c1e1a32901ccc15a1cb2d5da5acd0142b163dcf4191fd386"),
+        "f58f4d3f3a269522602d5ab61597b44ca688342bf11633b7b8c8ed3822b92613",
+        "087437ed450cb5a56d355d5d916dcbfacdfca120a0fe62c82005b25859721252"),
+}
+
+# The first data row of samples.csv: replicate 0 starts the one stream of
+# layout 4 where it started its own stream (seed, 0) in layout 3, so these
+# are the layout-3 bytes.
+_PIN_REPLICATE_0 = {
+    "ce_two_atoms": "0,0.80777546400594713",
+    "expq_one_atom_truncated_mean": "0,-1.3637090065072339",
+    "no_tempering": "0,4.0945331808255681",
+    "mixed_three_scales_three_atoms_2d": "0,2.3357825979198745,1.2182731299487985",
 }
 
 
 @pytest.mark.parametrize("law", sorted(_PIN_LAWS))
 def test_rng_layout_output_bytes_are_pinned(tmp_path, law):
     """The output bytes of small runs do not move unless the uniform layout
-    (RNG_LAYOUT) or the centering a_n does."""
+    (RNG_LAYOUT) or the centering a_n does; replicate 0 keeps its layout-3
+    bytes."""
     cfg = _PIN_LAWS[law]
     paths_cfg = {**cfg, "plan": {**cfg["plan"], "time_grid": [0.5, 1.0]}}
     got = []
@@ -717,6 +743,8 @@ def test_rng_layout_output_bytes_are_pinned(tmp_path, law):
         assert cli.run([command, "--config", _write(tmp_path, config, command + ".json"),
                         "--out", str(out)]) == 0
         got.append(hashlib.sha256((out / name).read_bytes()).hexdigest())
+    assert (tmp_path / "simulate" / "samples.csv").read_text().splitlines()[1] == (
+        _PIN_REPLICATE_0[law])
     assert tuple(got) == _PIN_SHA256[law], (
         f"{law}: output bytes changed at RNG_LAYOUT {cli.engine.RNG_LAYOUT}: either "
         "the uniform layout moved (bump `RNG_LAYOUT`) or the centering a_n did "

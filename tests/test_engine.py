@@ -81,12 +81,12 @@ def test_jump_source_row_layout():
 
 
 def test_no_tempering_draws_two_rows():
-    """Layout 3: no_tempering reads the atom and R rows only, and its radii
-    are R.  Rows are filled row-major, so a replicate's rows 0 and 1 are
+    """Layouts 3 and 4: no_tempering reads the atom and R rows only, and its
+    radii are R.  Rows are filled row-major, so a replicate's rows 0 and 1 are
     those of layout 2's three-row block."""
     alpha, m = 1.5, 5000
     model, spec = JumpModel(alpha, TWO), TemperingSpec.no_tempering(alpha)
-    assert spec.t_uniforms == 0 and engine.RNG_LAYOUT == 3
+    assert spec.t_uniforms == 0 and engine.RNG_LAYOUT == 4
     u = _philox(6, 1).random((2, m))
     assert np.array_equal(u, _philox(6, 1).random((3, m))[:2])
     idx, rad = engine._tempered_jumps(model, spec, 1e-300, _philox(6, 1), m)
@@ -94,22 +94,18 @@ def test_no_tempering_draws_two_rows():
     assert np.array_equal(rad, (1.0 - u[1]) ** (-1.0 / alpha))
 
 
-def _draws(gen):
-    # ends with an odd count of 32-bit draws and a part-used 64-bit buffer
-    return gen.random(7), gen.integers(0, 2 ** 32, size=5, dtype=np.uint32)
-
-
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-def test_rekeyed_stream_is_a_fresh_philox(seed):
-    """Re-keying one generator gives the draws of a new Philox(key=[seed, stream]),
-    whatever the previous stream left in the buffer."""
-    open_stream = engine._stream_opener(seed)
-    for stream in (0, 5, engine._AUX_STREAM + 1, engine._AUX_STREAM + 2, 5):
-        gen = open_stream(stream)
-        for got, want in zip(_draws(gen), _draws(_philox(seed, stream))):
-            assert np.array_equal(got, want)
-        state = gen.bit_generator.state
-        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+def test_open_stream_advances_and_discards(seed):
+    """Opening a stream at uniform ``skip`` (whole 4-value Philox steps, then
+    the rest discarded) gives the uniforms of a sequential fill from there."""
+    for stream in (0, engine._AUX_STREAM):
+        fill = _philox(seed, stream).random(30)
+        for skip in range(10):
+            assert np.array_equal(engine._open_stream(seed, stream, skip).random(20),
+                                  fill[skip:skip + 20]), (stream, skip)
+    far = 3 * 2 ** 40 + 2  # mid-step, far past any sequential fill a test can make
+    assert np.array_equal(engine._open_stream(seed, 0, far).random(9)[1:],
+                          engine._open_stream(seed, 0, far + 1).random(8))
 
 
 def test_aux_jumps_come_from_the_aux_stream():
@@ -121,17 +117,28 @@ def test_aux_jumps_come_from_the_aux_stream():
     assert np.array_equal(idx, want_idx) and np.array_equal(rad, want_rad)
 
 
+def _replicate_jumps(model, spec, v, seed, replicates, n):
+    """(idx, rad) of replicate i from uniforms [i L, (i + 1) L) of one
+    sequential fill of the Philox stream keyed (seed, 0), L = rows * n."""
+    cells = (2 + spec.t_uniforms) * n
+    u = _philox(seed, 0).random(replicates * cells)
+    for rep in range(replicates):
+        rows = u[rep * cells:(rep + 1) * cells].reshape(-1, n)
+        yield engine._tempered_jumps(model, spec, v, rows)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
-def test_replicates_draw_fresh_philox_streams(threads):
-    """Replicate i's row sum is the one a new Philox keyed (seed, i) gives."""
+def test_replicates_read_consecutive_slices_of_one_stream(threads):
+    """Replicate i's row sum is the one slice i of one Philox fill gives;
+    L = 603 is odd, so the threads start mid-step."""
     plan = WalkPlan(n=201, replicates=20, seed=2 ** 64 - 1)
     m = JumpModel(0.7, TWO)
     ce = TemperingSpec.conditionally_exponential(0.7, [0.5, 2.0], TWO)
     batch = engine.simulate_rowsum(plan, m, ce, threads=threads)
     v = batch.threshold
-    for rep in range(plan.replicates):
-        idx, rad = engine._tempered_jumps(m, ce, v, _philox(plan.seed, rep), plan.n)
-        want = engine._atom_sums(idx, rad, 2) @ TWO.directions / v
+    jumps = _replicate_jumps(m, ce, v, plan.seed, plan.replicates, plan.n)
+    for rep, (idx, rad) in enumerate(jumps):
+        want = np.bincount(idx, weights=rad, minlength=2) @ TWO.directions / v
         assert np.array_equal(batch.values[rep], want)
 
 
@@ -159,9 +166,10 @@ _BLOCK_LAWS = {
 @pytest.mark.parametrize("law", sorted(_BLOCK_LAWS))
 def test_blocks_of_replicates_match_one_replicate_at_a_time(law, threads):
     """At small n a block holds many replicates, and 1000 replicates end in
-    a partial block: every path value still equals the one its own Philox
-    stream gives through the jump source, bincount and @ directions / v,
-    bit for bit."""
+    a partial block: every path value still equals the one its own slice of
+    the Philox stream gives through the jump source, bincount and
+    @ directions / v, bit for bit.  At three threads, L = 14 or 21 (two or
+    three rows) puts the thread starts mid-step."""
     model, spec, centering = _BLOCK_LAWS[law]
     n, times = 7, (0.0, 0.3, 1.0)
     # a seed per thread count, so no run can read values an earlier one left
@@ -172,8 +180,8 @@ def test_blocks_of_replicates_match_one_replicate_at_a_time(law, threads):
     batches = engine.simulate_paths(plan, model, spec, threads=threads)
     v, center = batches[0].threshold, batches[0].center
     directions, k = model.sigma.directions, len(model.sigma)
-    for rep in range(plan.replicates):
-        idx, rad = engine._tempered_jumps(model, spec, v, _philox(plan.seed, rep), n)
+    jumps = _replicate_jumps(model, spec, v, plan.seed, plan.replicates, n)
+    for rep, (idx, rad) in enumerate(jumps):
         for batch, t in zip(batches, times):
             c = math.floor(n * t)
             if c == 0:
@@ -284,7 +292,7 @@ def test_truncated_mean_custom_q_matches_exponential_q(alpha, monkeypatch):
     m = JumpModel(alpha, TWO, radial=MixedScalePareto((1.0, 3.0), (0.4, 0.6)))
     v = engine.tempering_threshold(m, n)
     built = engine.centering_truncated_mean(m, TemperingSpec.exponential_q(alpha, rates, TWO), n, v)
-    monkeypatch.setattr(engine, "_stream_opener", None)  # any draw fails
+    monkeypatch.setattr(engine, "_open_stream", None)  # any draw fails
     custom = TemperingSpec.custom_q(  # q = alpha exp(-theta_j r) on atom j of TWO
         alpha, lambda r, s: alpha * math.exp(-(rates[0] if s[0] > 0.0 else rates[1]) * r), TWO)
     got = engine.centering_truncated_mean(m, custom, n, v)
